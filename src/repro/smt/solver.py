@@ -9,15 +9,20 @@ SAT core:
 3. **Interval pre-filter**: derive per-variable bounds from the conjuncts
    and abstractly evaluate — many race queries (disjoint strides) die here
    without bit-blasting.
-4. **Bit-blast + CDCL SAT** with an optional conflict budget.
+4. **Model reuse**: evaluate the goal under the last few SAT models this
+   solver produced, newest first (KLEE's counterexample cache). A model
+   that makes every conjunct true answers SAT without bit-blasting; this
+   layer never answers UNSAT.
+5. **Bit-blast + CDCL SAT** with an optional conflict budget.
 
 Models are validated against the concrete evaluator before being returned,
 so a solver bug surfaces as a loud exception instead of a bogus witness.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 from .bitblast import BitBlaster
 from .cnf import CNF
@@ -62,16 +67,18 @@ class SolverStats:
     """Where queries were dispatched; drives the solver ablation bench.
 
     ``by_sat`` counts queries that required a *fresh* bitblast + SAT
-    instance (the one-shot path); ``by_session`` counts queries answered
-    by assumption on a live incremental instance. ``sat_instances`` is
-    the number of SAT solver constructions either way — the work the
-    blast-once preamble amortises.
+    instance (the one-shot path); ``by_reuse`` counts queries answered
+    by an earlier model of the same solver; ``by_session`` counts
+    queries answered by assumption on a live incremental instance.
+    ``sat_instances`` is the number of SAT solver constructions either
+    way — the work the blast-once preamble amortises.
     """
 
     queries: int = 0
     by_simplifier: int = 0
     by_interval: int = 0
     by_sat: int = 0
+    by_reuse: int = 0
     by_session: int = 0
     sat_instances: int = 0
     sat_conflicts: int = 0
@@ -87,6 +94,7 @@ class SolverStats:
         self.by_simplifier += other.by_simplifier
         self.by_interval += other.by_interval
         self.by_sat += other.by_sat
+        self.by_reuse += other.by_reuse
         self.by_session += other.by_session
         self.sat_instances += other.sat_instances
         self.sat_conflicts += other.sat_conflicts
@@ -108,6 +116,10 @@ class SolverStats:
         return out
 
 
+#: SAT models a :class:`Solver` keeps for the reuse layer
+MODEL_HISTORY = 8
+
+
 class Solver:
     """One-shot satisfiability checking with incremental assertion adding."""
 
@@ -124,6 +136,8 @@ class Solver:
         self.validate_models = validate_models
         self.stats = SolverStats()
         self._model: Optional[Model] = None
+        #: values of the last MODEL_HISTORY SAT-core models, newest first
+        self._history: Deque[Dict[str, int]] = deque(maxlen=MODEL_HISTORY)
 
     # ------------------------------------------------------------------
 
@@ -165,6 +179,11 @@ class Solver:
                 self.stats.by_interval += 1
                 return CheckResult.UNSAT
 
+        model = self._reuse(goal)
+        if model is not None:
+            self.stats.by_reuse += 1
+            self._model = model
+            return CheckResult.SAT
         return self._check_sat(goal)
 
     def model(self) -> Model:
@@ -173,6 +192,22 @@ class Solver:
         return self._model
 
     # ------------------------------------------------------------------
+
+    def _reuse(self, goal: List[Term]) -> Optional[Model]:
+        """An earlier model that makes every conjunct of ``goal`` true,
+        restricted to the goal's variables (absent ones read as 0)."""
+        if not self._history:
+            return None
+        names = [t.name for t in T.iter_dag(goal) if t.is_var()]
+        for values in self._history:
+            assignment = {name: values.get(name, 0) for name in names}
+            cache: Dict[int, int] = {}
+            try:
+                if all(evaluate(t, assignment, cache) for t in goal):
+                    return Model(assignment)
+            except EvaluationError:
+                continue  # uninterpreted applications: no concrete value
+        return None
 
     def _check_sat(self, goal: List[Term]) -> str:
         self.stats.by_sat += 1
@@ -202,6 +237,7 @@ class Solver:
         if self.validate_models:
             self._validate(goal, model)
         self._model = model
+        self._history.appendleft(values)
         return CheckResult.SAT
 
     def _validate(self, goal: Iterable[Term], model: Model) -> None:

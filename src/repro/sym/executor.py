@@ -24,8 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import ir
 from ..smt import (
-    BOOL, FALSE, TRUE, CheckResult, Solver, Term, mk_and, mk_ashr, mk_bool,
-    mk_bv, mk_bv_var, mk_bvand, mk_bvnot, mk_bvor, mk_bvxor, mk_bxor,
+    BOOL, FALSE, TRUE, CheckResult, Solver, SolverStats, Term, mk_and,
+    mk_ashr, mk_bool, mk_bv, mk_bv_var, mk_bvand, mk_bvnot, mk_bvor,
+    mk_bvxor, mk_bxor,
     mk_eq, mk_extract, mk_ite, mk_lshr, mk_ne, mk_not, mk_or, mk_sdiv,
     mk_sext, mk_shl, mk_sle, mk_slt, mk_srem, mk_sub, mk_udiv, mk_ule,
     mk_ult, mk_urem, mk_zext,
@@ -76,6 +77,8 @@ class ExecutionResult:
     flow_events: List[tuple] = field(default_factory=list)
     #: assert() sites: (condition under flow+guard, negated-claim, loc)
     assertions: List[tuple] = field(default_factory=list)
+    #: how the branch-feasibility checks were answered
+    feasibility: SolverStats = field(default_factory=SolverStats)
 
     def all_accesses(self) -> List[Access]:
         return [a for s in self.bi_access_sets for a in s]
@@ -123,11 +126,16 @@ class Executor:
 
         self.steps = 0
         self.num_splits = 0
+        # one solver for the whole run: its assertions (thread bounds and
+        # launch assumptions) never change, and its model history lets
+        # the reuse layer answer most feasible refinements
         self._feas_solver = Solver(conflict_budget=3_000)
+        self._feas_solver.add(*self.env.bounds(), *config.assumptions)
         self._feas_cache: Dict[int, bool] = {}
         self.result = ExecutionResult(
             kernel=kernel.name, mode=mode, config=config, env=self.env,
-            objects=list(self.objects.values()))
+            objects=list(self.objects.values()),
+            feasibility=self._feas_solver.stats)
 
     # ------------------------------------------------------------------
     # setup
@@ -405,8 +413,6 @@ class Executor:
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
-        self._feas_solver.assertions = list(self.env.bounds()) + \
-            list(self.config.assumptions)
         verdict = self._feas_solver.check(cond) != CheckResult.UNSAT
         self._feas_cache[key] = verdict
         return verdict

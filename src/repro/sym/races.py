@@ -170,6 +170,8 @@ class CheckStats:
     solve_seconds: float = 0.0
     #: per-query solver dispatch counters, merged across all queries
     solver: SolverStats = field(default_factory=SolverStats)
+    #: how the executor's branch-feasibility checks were answered
+    feasibility: SolverStats = field(default_factory=SolverStats)
 
 
 class RaceChecker:
@@ -207,6 +209,7 @@ class RaceChecker:
         self.stats.dedup_skipped = result.dedup_skipped
         self.stats.summarized_accesses = result.summarized_accesses
         self.stats.execute_seconds = result.elapsed_seconds
+        self.stats.feasibility = result.feasibility.copy()
         self.timed_out = False
         self._deadline: Optional[float] = None
         self.races: List[RaceReport] = []

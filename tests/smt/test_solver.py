@@ -1,11 +1,17 @@
 """End-to-end solver tests, including the paper's own race formulas."""
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.smt import (
     CheckResult, Solver, get_model, is_sat, mk_add, mk_and, mk_bv,
-    mk_bv_var, mk_bvand, mk_bvxor, mk_eq, mk_lshr, mk_ne, mk_not, mk_or,
-    mk_shl, mk_ult, mk_urem, evaluate,
+    mk_bv_var, mk_bvand, mk_bvxor, mk_eq, mk_lshr, mk_mul, mk_ne, mk_not,
+    mk_or, mk_shl, mk_ult, mk_urem, evaluate,
 )
+from repro.smt.solver import MODEL_HISTORY
+from repro.smt.terms import mk_uf
+
+from .test_properties import bool_terms
 
 
 def bv(value, width=32):
@@ -173,3 +179,83 @@ class TestSolverLayers:
         model = get_model(formula)
         assert model is not None
         assert evaluate(formula, dict(model.values)) is True
+
+    def test_reuse_answers_goal_an_earlier_model_satisfies(self):
+        x, y = mk_bv_var("x"), mk_bv_var("y")
+        solver = Solver()
+        solver.add(mk_ult(x, bv(10)))
+        assert solver.check(mk_eq(x, bv(3)), mk_eq(y, bv(7))) \
+            == CheckResult.SAT
+        assert solver.stats.by_sat == 1
+        goal = mk_ult(x, bv(5))
+        assert solver.check(goal) == CheckResult.SAT
+        assert solver.stats.by_sat == 1
+        assert solver.stats.by_reuse == 1
+        model = solver.model()
+        # restricted to the goal's variables: y came from the old model
+        assert set(model.values) == {"x"}
+        assert evaluate(mk_and(mk_ult(x, bv(10)), goal),
+                        dict(model.values)) is True
+
+    def test_goal_every_model_falsifies_reaches_sat_core(self):
+        x = mk_bv_var("x")
+        solver = Solver()
+        solver.add(mk_ult(x, bv(10)))
+        for value in range(3):
+            assert solver.check(mk_eq(x, bv(value))) == CheckResult.SAT
+        assert solver.stats.by_sat == 3
+        assert solver.check(mk_eq(x, bv(7))) == CheckResult.SAT
+        assert solver.stats.by_sat == 4
+        assert solver.stats.by_reuse == 0
+        assert solver.model()["x"] == 7
+
+    def test_uninterpreted_goal_never_reused(self):
+        x = mk_bv_var("x")
+        goal = mk_eq(mk_uf("f", (x,), 32), bv(5))
+        solver = Solver()
+        assert solver.check(goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
+        assert solver.stats.by_reuse == 0
+        assert solver.stats.by_sat == 2
+
+    def test_reuse_never_answers_unsat(self):
+        x = mk_bv_var("x", 8)
+        solver = Solver()
+        assert solver.check(mk_eq(x, mk_bv(2, 8))) == CheckResult.SAT
+        # squares are 0 or 1 mod 4; neither the simplifier nor the
+        # interval layer sees it, so only the SAT core can say UNSAT
+        assert solver.check(mk_eq(mk_mul(x, x), mk_bv(2, 8))) \
+            == CheckResult.UNSAT
+        assert solver.stats.by_reuse == 0
+        assert solver.stats.by_sat == 2
+
+    def test_history_is_bounded(self):
+        x = mk_bv_var("x")
+        solver = Solver()
+        for value in range(MODEL_HISTORY + 1):
+            solver.check(mk_eq(x, bv(value)))
+        assert solver.check(mk_eq(x, bv(1))) == CheckResult.SAT
+        assert solver.stats.by_reuse == 1
+        # the oldest model (x=0) has been evicted
+        assert solver.check(mk_eq(x, bv(0))) == CheckResult.SAT
+        assert solver.stats.by_reuse == 1
+
+    @given(st.lists(st.lists(bool_terms(), min_size=1, max_size=2),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_reuse_agrees_with_fresh_solver(self, goals):
+        reusing = Solver()
+        for conjuncts in goals:
+            fresh = Solver()
+            before = reusing.stats.by_reuse
+            expected = fresh.check(*conjuncts)
+            got = reusing.check(*conjuncts)
+            assert got == expected
+            if got == CheckResult.SAT:
+                assignment = {"a": 0, "b": 0, **reusing.model().values}
+                assert evaluate(mk_and(*conjuncts), assignment) is True
+            else:
+                assert reusing.stats.by_reuse == before
+        s = reusing.stats
+        assert s.by_simplifier + s.by_interval + s.by_reuse + s.by_sat \
+            == s.queries

@@ -7,10 +7,15 @@ for *any* group structure, shard count, and size budget. Hypothesis
 drives that space; the explicit edge cases pin the empty-kernel and
 oversized-group behaviours.
 """
+from dataclasses import asdict
+
 import pytest
 
+from repro.smt import SolverStats
+from repro.sym.races import CheckStats
 from repro.sym.swarm import (
-    ShardSelector, plan_partitions, split_span, validate_partition,
+    ShardSelector, merge_check_stats, plan_partitions, split_span,
+    validate_partition,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -133,3 +138,18 @@ def test_validate_partition_catches_gap_and_overlap():
         validate_partition([ShardSelector(index=0, count=1,
                                           total_pairs=20,
                                           ranges=((0, 20),))])
+
+
+def test_merge_check_stats_sums_nested_feasibility():
+    shards = []
+    for reuse, sat in ((5, 1), (3, 2)):
+        cs = CheckStats(queries=4)
+        cs.feasibility = SolverStats(queries=reuse + sat,
+                                     by_reuse=reuse, by_sat=sat)
+        shards.append(asdict(cs))
+    merged = merge_check_stats(shards + [None])
+    assert merged["queries"] == 8
+    assert merged["feasibility"]["by_reuse"] == 8
+    assert merged["feasibility"]["by_sat"] == 3
+    assert merged["feasibility"]["queries"] == 11
+    assert merged["solver"] == asdict(SolverStats())

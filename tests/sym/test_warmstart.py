@@ -161,11 +161,11 @@ class TestSharedSessionStatsAudit:
         assert c2.stats.sessions_created == 0
         assert c2.stats.preamble_reuse > 0
         for checker in (c1, c2):
-            s = checker.stats.solver
             # every query dispatched exactly once: a double-merge of
             # session-lifetime stats would push by_session past queries
-            assert s.by_simplifier + s.by_interval + s.by_session \
-                + s.by_sat == s.queries
+            for s in (checker.stats.solver, checker.stats.feasibility):
+                assert s.by_simplifier + s.by_interval + s.by_reuse \
+                    + s.by_session + s.by_sat == s.queries
         # both checkers solved the same queries against the same pool
         assert c2.stats.solver.by_session <= c1.stats.solver.by_session
         assert len(c2.races) == len(c1.races)
