@@ -16,7 +16,7 @@ from .loc import SourceLoc
 from .module import BasicBlock, Function, Module
 from .builder import IRBuilder
 from .cfg import CFG, Loop
-from .printer import function_to_str, module_to_str
+from .printer import function_to_str, instruction_locs, module_to_str
 from .parser import IRParseError, parse_module, parse_type
 
 __all__ = [
@@ -30,5 +30,6 @@ __all__ = [
     "Load", "Phi", "Ret", "Select", "Store", "Sync", "SourceLoc",
     "BasicBlock",
     "Function", "Module", "IRBuilder", "CFG", "Loop", "function_to_str",
-    "module_to_str", "IRParseError", "parse_module", "parse_type",
+    "instruction_locs", "module_to_str", "IRParseError", "parse_module",
+    "parse_type",
 ]

@@ -31,3 +31,16 @@ def module_to_str(module: Module) -> str:
     for fn in module.functions.values():
         parts.append(function_to_str(fn))
     return "\n\n".join(parts)
+
+
+def instruction_locs(fn: Function) -> str:
+    """Every instruction's source position as ``line:col``, in IR order.
+
+    The printed IR carries no locations, so a content key that must
+    move with the source (a verdict names source lines) adds this.
+    An instruction without a location prints as ``-``.
+    """
+    return " ".join(
+        "-" if instr.loc is None
+        else f"{int(instr.loc)}:{getattr(instr.loc, 'col', 0)}"
+        for block in fn.blocks for instr in block.instrs)

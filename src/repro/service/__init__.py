@@ -10,7 +10,8 @@ operation:
 * :mod:`~repro.service.scheduler` — a parallel, fault-isolating
   scheduler (process-per-job, hard timeouts, bounded retries);
 * :mod:`~repro.service.cache` — a content-addressed verdict cache
-  keyed on (canonical IR, config, engine, tool version);
+  keyed on (canonical IR with source locations, config, engine,
+  checker code digest);
 * :mod:`~repro.service.telemetry` — structured JSONL event traces
   plus aggregate summaries;
 * :mod:`~repro.service.corpus` — enumeration of the built-in paper
@@ -28,7 +29,7 @@ Typical use::
     for job in batch.jobs:
         print(job.job_id, job.status, job.issue_tags())
 """
-from .cache import ResultCache, cache_key, canonical_ir, trace_hit_rate
+from .cache import ResultCache, cache_key, canonical_form, trace_hit_rate
 from .corpus import (
     SUITES, builtin_jobs, directory_jobs, file_job, load_corpus,
     spec_from_kernel, stream_jobs,
@@ -48,7 +49,7 @@ from .telemetry import Telemetry
 __all__ = [
     "BatchResult", "JobResult", "JobSpec", "JobState", "JobStatus",
     "JobValidationError", "ResultCache", "SUITES", "Scheduler",
-    "Telemetry", "builtin_jobs", "cache_key", "canonical_ir",
+    "Telemetry", "builtin_jobs", "cache_key", "canonical_form",
     "directory_jobs", "execute_job", "file_job", "load_corpus",
     "JOB_KINDS", "run_batch", "run_job_inline", "run_job_isolated",
     "spec_from_kernel", "stream_jobs", "trace_hit_rate",

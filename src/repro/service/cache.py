@@ -1,16 +1,24 @@
 """Content-addressed result cache for batch analysis.
 
-A verdict is a pure function of *(canonical IR, launch configuration,
-engine, tool version)* — so that 4-tuple, hashed, is the cache key.
-Hashing the canonical IR (the SSA bytecode after the standard pass
-pipeline) rather than the raw source means whitespace/comment edits
-and other semantics-preserving rewrites still hit the cache, while any
-change that survives into the IR misses.
+A verdict is a pure function of *(canonical form, launch
+configuration, engine, checker code)* — so that 4-tuple, hashed, is the
+cache key. The canonical form is the SSA bytecode after the standard
+pass pipeline plus every instruction's ``line:col``: a verdict names
+source lines, so any edit that moves an access must miss, while edits
+that move no instruction (CRLF line endings, a comment after the last
+line) still hit. The checker code enters as
+:func:`repro.code_digest`, a digest of the package sources, so an
+entry written by other analysis code is never served.
+
+Computing the canonical form costs a compile, so :func:`cache_key`
+memoises it per process: a bounded LRU maps ``sha256(source)`` to
+``sha256(canonical form)``, and each distinct source is compiled once.
 
 Entries are one JSON file each under ``cache_dir/ab/abcdef....json``
 (two-level fan-out keeps directories small on big corpora). The stored
 payload is byte-for-byte what the worker produced, so a cache hit
-reproduces the original verdict exactly.
+reproduces the original verdict exactly. An entry that does not parse,
+or parses to the wrong shape, is a miss: the job is re-checked cold.
 """
 from __future__ import annotations
 
@@ -19,14 +27,22 @@ import json
 import os
 import threading
 import time
-from typing import Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
-from .. import __version__ as TOOL_VERSION
+from .. import code_digest
 from .jobs import JobSpec
 
+#: distinct sources whose canonical-form digest :func:`cache_key` keeps
+FORM_MEMO_SIZE = 1024
 
-def canonical_ir(source: str, kernel_name: Optional[str] = None) -> str:
-    """The post-pipeline SSA bytecode for *source* (cache-key input).
+_form_memo: "OrderedDict[str, str]" = OrderedDict()
+_form_lock = threading.Lock()
+
+
+def canonical_form(source: str) -> str:
+    """The post-pipeline SSA bytecode for *source*, followed by every
+    instruction's ``line:col`` in IR order (cache-key input).
 
     Falls back to the raw source text when compilation fails — the job
     will fail identically in the worker, and that failure is just as
@@ -34,23 +50,60 @@ def canonical_ir(source: str, kernel_name: Optional[str] = None) -> str:
     """
     try:
         from ..frontend import compile_source
-        from ..ir import module_to_str
+        from ..ir import instruction_locs, module_to_str
         from ..passes import standard_pipeline
         module = compile_source(source)
         standard_pipeline().run(module)
-        return module_to_str(module)
     except Exception:
         return f"<uncompilable>\n{source}"
+    locs = [f"; locs @{fn.name}: {instruction_locs(fn)}"
+            for fn in module.functions.values()]
+    return "\n".join([module_to_str(module)] + locs)
+
+
+def form_digest(source: str) -> str:
+    """``sha256(canonical_form(source))``, compiled once per distinct
+    source per process (LRU of :data:`FORM_MEMO_SIZE` entries).
+
+    The compile runs under the memo's lock, so threads asking for the
+    same new source compile it once between them.
+    """
+    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    with _form_lock:
+        digest = _form_memo.get(key)
+        if digest is None:
+            digest = hashlib.sha256(
+                canonical_form(source).encode("utf-8")).hexdigest()
+            _form_memo[key] = digest
+            while len(_form_memo) > FORM_MEMO_SIZE:
+                _form_memo.popitem(last=False)
+        else:
+            _form_memo.move_to_end(key)
+    return digest
 
 
 def cache_key(spec: JobSpec) -> str:
-    """SHA-256 over (canonical IR, config fingerprint, engine, version)."""
+    """SHA-256 over (canonical form, config fingerprint, engine, code)."""
     material = json.dumps({
-        "ir": canonical_ir(spec.source, spec.kernel_name),
+        "form": form_digest(spec.source),
         "config": spec.config_fingerprint(),
-        "tool_version": TOOL_VERSION,
+        "code": code_digest(),
     }, sort_keys=True)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def is_verdict_entry(payload: dict) -> bool:
+    """Whether *payload* has the shape of a stored job or launch
+    verdict: a ``verdict`` object whose races are objects, and optional
+    ``check_stats``/``inputs``/``repair`` objects."""
+    verdict = payload.get("verdict")
+    if not isinstance(verdict, dict):
+        return False
+    races = verdict.get("races", [])
+    return (isinstance(races, list)
+            and all(isinstance(race, dict) for race in races)
+            and all(isinstance(payload.get(field), (dict, type(None)))
+                    for field in ("check_stats", "inputs", "repair")))
 
 
 class ResultCache:
@@ -71,13 +124,21 @@ class ResultCache:
     def key_for(self, spec: JobSpec) -> str:
         return cache_key(spec)
 
-    def get(self, key: str) -> Optional[dict]:
-        """The stored worker payload, or ``None`` on miss/corruption."""
+    def get(self, key: str,
+            valid: Optional[Callable[[dict], bool]] = None
+            ) -> Optional[dict]:
+        """The stored payload, or ``None`` on a miss. An entry that does
+        not parse, is not a JSON object, or fails *valid* (the reader's
+        shape check, e.g. :func:`is_verdict_entry`) counts as a miss, so
+        the caller re-checks cold."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except (OSError, ValueError):
+            payload = None
+        if not isinstance(payload, dict) \
+                or (valid is not None and not valid(payload)):
             with self._lock:
                 self.misses += 1
             return None

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from ... import __version__ as TOOL_VERSION
 from ...sym.swarm import ShardOutcome, ShardSelector
-from ..cache import ResultCache, cache_key
+from ..cache import ResultCache, cache_key, is_verdict_entry
 from ..corpus import SUITES, builtin_jobs
 from ..jobs import JobResult, JobSpec, JobState, JobStatus, \
     JobValidationError
@@ -244,7 +244,7 @@ class Daemon:
         spec.validate()
         parent_key = swarm_cache_key(spec, num_shards)
         if self.cache is not None:
-            payload = self.cache.get(parent_key)
+            payload = self.cache.get(parent_key, is_verdict_entry)
             if payload is not None:
                 cached = JobResult(
                     job_id=spec.job_id, status=JobStatus.CACHED,

@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Optional
 
-from ..cache import ResultCache
+from ..cache import ResultCache, is_verdict_entry
 from ..jobs import JobResult, JobState, JobStatus
 from ..runner import Runner, execute_job, run_job_isolated
 from ..telemetry import Telemetry
@@ -150,7 +150,7 @@ class WorkerDaemon:
         # dedup fast path: an identical submission already paid for
         # this verdict (possibly in a previous daemon's lifetime)
         if self.cache is not None:
-            payload = self.cache.get(job.fingerprint)
+            payload = self.cache.get(job.fingerprint, is_verdict_entry)
             if payload is not None:
                 self.telemetry.emit("cache_hit", job_id=job.job_id,
                                     cache_key=job.fingerprint)

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .cache import ResultCache
+from .cache import ResultCache, is_verdict_entry
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import execute_job, run_job_inline, run_job_isolated
 from .telemetry import Telemetry
@@ -159,7 +159,7 @@ class Scheduler:
     def _process_one(self, spec: JobSpec) -> JobResult:
         key = self.cache.key_for(spec) if self.cache is not None else None
         if key is not None:
-            payload = self.cache.get(key)
+            payload = self.cache.get(key, is_verdict_entry)
             if payload is not None:
                 self.telemetry.emit("cache_hit", job_id=spec.job_id,
                                     cache_key=key)

@@ -29,12 +29,12 @@ from multiprocessing import connection as mp_connection
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import __version__ as TOOL_VERSION
+from .. import code_digest
 from ..sym.swarm import (
     RACY, SAFE, UNKNOWN, ShardOutcome, ShardSelector,
     merge_shard_outcomes, plan_partitions, validate_partition,
 )
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_key, is_verdict_entry
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import Runner, _child_entry, execute_job
 from .scheduler import BatchResult, Scheduler
@@ -64,7 +64,7 @@ def swarm_cache_key(spec: JobSpec, num_shards: int) -> str:
     entries with monolithic verdicts (witnesses may differ)."""
     material = json.dumps({
         "parent": cache_key(spec), "swarm": num_shards,
-        "tool_version": TOOL_VERSION,
+        "code": code_digest(),
     }, sort_keys=True)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -299,7 +299,7 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
     for spec in specs:
         parent_key = swarm_cache_key(spec, num_shards) if cache else None
         if parent_key is not None:
-            payload = cache.get(parent_key)
+            payload = cache.get(parent_key, is_verdict_entry)
             if payload is not None:
                 telemetry.emit("cache_hit", job_id=spec.job_id,
                                cache_key=parent_key)

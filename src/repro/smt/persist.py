@@ -40,7 +40,7 @@ import time
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import __version__ as TOOL_VERSION
+from .. import code_digest
 from .terms import Term
 
 #: bump when the artifact layout or the CNF encoding changes in any way
@@ -105,9 +105,9 @@ def _validate_artifact(artifact: object) -> Optional[str]:
         return (f"format version skew "
                 f"(artifact {artifact.get('format')!r}, "
                 f"expected {FORMAT_VERSION})")
-    if artifact.get("tool") != TOOL_VERSION:
+    if artifact.get("tool") != code_digest():
         return (f"tool version skew (artifact {artifact.get('tool')!r}, "
-                f"running {TOOL_VERSION})")
+                f"running {code_digest()})")
     snap = artifact.get("snapshot")
     if not isinstance(snap, dict):
         return "missing snapshot"
@@ -193,7 +193,7 @@ class SolverArtifactStore:
         """Persist a session's exported state (atomic rename)."""
         artifact = {
             "format": FORMAT_VERSION,
-            "tool": TOOL_VERSION,
+            "tool": code_digest(),
             "snapshot": {
                 "num_vars": state["snapshot"]["num_vars"],
                 "clauses": state["snapshot"]["clauses"],

@@ -31,11 +31,13 @@ affine/interval/solver stack :mod:`repro.sym.races` uses:
   intra-launch rules.
 
 Caching is per *launch*, not per program: a launch's fingerprint hashes
-only its own kernel's IR (plus module globals), its launch geometry and
-the verdict-relevant flags — so re-checking a program after editing one
-kernel replays every untouched launch from the
-:class:`~repro.service.cache.ResultCache` and re-solves only the edited
-one. Fully-checked launch *pairs* are cached the same way.
+only its own kernel's IR and source locations (plus module globals), its
+launch geometry and the verdict-relevant flags — so re-checking a
+program after editing one kernel replays from the
+:class:`~repro.service.cache.ResultCache` every launch whose kernel
+neither changed nor moved, and re-solves only the edited one.
+Fully-checked launch *pairs* are cached the same way. A cache entry of
+the wrong shape is a miss.
 
 Known approximation: buffer *contents* are not tracked across launches.
 A read's symbolic value is an uninterpreted function of its parameter
@@ -53,11 +55,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import ir
-from .. import __version__ as TOOL_VERSION
+from .. import code_digest
 from ..core.sesa import SESA
 from ..frontend import compile_source
-from ..ir import function_to_str
+from ..ir import function_to_str, instruction_locs
 from ..passes import standard_pipeline
+from ..service.cache import is_verdict_entry
 from ..smt import (
     CheckResult, Model, QueryMemo, Solver, SolverSession, Substitution,
     TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
@@ -82,11 +85,12 @@ def launch_fingerprint(module: ir.Module, launch: Launch,
     """Cache key for one launch's verdict.
 
     Hashes the launch's *own* kernel IR slice (plus module globals —
-    any kernel may touch them), the launch geometry, and every flag
-    that can change the verdict. Deliberately excluded: the wall-clock
-    budget (a non-timed-out budgeted verdict equals the unbudgeted
-    one; timed-out verdicts are never cached) and ``solver_cache_dir``
-    (a pure accelerator).
+    any kernel may touch them) with its instruction locations (the
+    verdict names source lines), the launch geometry, every flag that
+    can change the verdict, and :func:`repro.code_digest`. Deliberately
+    excluded: the wall-clock budget (a non-timed-out budgeted verdict
+    equals the unbudgeted one; timed-out verdicts are never cached) and
+    ``solver_cache_dir`` (a pure accelerator).
     """
     kernel = module.get_kernel(launch.kernel)
     globals_slice = [f"{gv.name} {gv.storage_type!r} {gv.space}"
@@ -95,6 +99,7 @@ def launch_fingerprint(module: ir.Module, launch: Launch,
     material = json.dumps({
         "kind": "stream_launch",
         "ir": ir_slice,
+        "locs": instruction_locs(kernel),
         "kernel": launch.kernel,
         "grid_dim": list(config.grid_dim),
         "block_dim": list(config.block_dim),
@@ -104,7 +109,7 @@ def launch_fingerprint(module: ir.Module, launch: Launch,
         "incremental_solving": config.incremental_solving,
         "pair_pruning": config.pair_pruning,
         "static_tier": config.static_tier,
-        "tool_version": TOOL_VERSION,
+        "code": code_digest(),
     }, sort_keys=True)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -160,6 +165,20 @@ class InterLaunchRace:
                       ("kind", "buffer", "launch1", "launch2", "kernel1",
                        "kernel2", "param1", "param2", "loc1", "loc2",
                        "benign", "witness") if k in data})
+
+
+#: fields an :class:`InterLaunchRace` cannot be rebuilt without
+_RACE_FIELDS = frozenset(("kind", "buffer", "launch1", "launch2",
+                          "kernel1", "kernel2", "param1", "param2"))
+
+
+def _is_pair_entry(payload: dict) -> bool:
+    """Shape check for a cached launch-pair entry: ``{"races": [...]}``
+    with every race rebuildable by :meth:`InterLaunchRace.from_dict`."""
+    races = payload.get("races")
+    return isinstance(races, list) and all(
+        isinstance(race, dict) and _RACE_FIELDS <= race.keys()
+        for race in races)
 
 
 @dataclass
@@ -471,7 +490,7 @@ class StreamChecker:
         sesa = self._sesa_for(launch.kernel)
         config = self._config_for(launch)
         fingerprint = launch_fingerprint(self.module, launch, config)
-        payload = self.cache.get(fingerprint) \
+        payload = self.cache.get(fingerprint, is_verdict_entry) \
             if self.cache is not None else None
         side = None
         if payload is not None:
@@ -532,7 +551,7 @@ class StreamChecker:
             "fp1": o1.fingerprint, "fp2": o2.fingerprint,
             "args1": sorted(self.program.launches()[o1.index].args.items()),
             "args2": sorted(self.program.launches()[o2.index].args.items()),
-            "tool_version": TOOL_VERSION,
+            "code": code_digest(),
         }, sort_keys=True)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -732,11 +751,11 @@ class StreamChecker:
                 self.timed_out = True
                 continue
             pair_fp = self._pair_fingerprint(outcomes[i], outcomes[j])
-            payload = self.cache.get(pair_fp) \
+            payload = self.cache.get(pair_fp, _is_pair_entry) \
                 if self.cache is not None else None
             if payload is not None:
                 self.stats.pair_cache_hits += 1
-                for data in payload.get("races", ()):
+                for data in payload["races"]:
                     if len(races) >= self.max_reports:
                         break
                     races.append(InterLaunchRace.from_dict(data))

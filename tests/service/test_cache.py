@@ -2,8 +2,14 @@
 and the operational maintenance surface (`repro cache stats/prune`)."""
 import json
 import os
+import sys
+import threading
 import time
 
+import pytest
+
+import repro.frontend
+import repro.service.cache as cache_module
 from repro.cli import main
 from repro.service import (
     JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
@@ -23,6 +29,8 @@ __global__ void race() {
   v[threadIdx.x] = v[(threadIdx.x + 1) % blockDim.x];
 }
 """
+#: prepended to a source: moves every access down three lines
+SHIFT = "// one\n// two\n// three\n"
 
 
 def _spec(source=CLEAN, **kw):
@@ -34,9 +42,16 @@ class TestCacheKey:
     def test_identical_jobs_share_a_key(self):
         assert cache_key(_spec()) == cache_key(_spec(job_id="other"))
 
-    def test_semantics_preserving_rewrite_shares_a_key(self):
-        # the key hashes canonical IR, not source text
-        assert cache_key(_spec(CLEAN)) == cache_key(_spec(CLEAN_RESTYLED))
+    def test_edit_that_moves_no_instruction_shares_a_key(self):
+        # the key hashes canonical IR plus locations, not source text
+        base = cache_key(_spec(RACY))
+        assert cache_key(_spec(RACY.replace("\n", "\r\n"))) == base
+        assert cache_key(_spec(RACY + "// trailing comment\n")) == base
+
+    def test_line_shifting_edit_changes_the_key(self):
+        # a verdict names source lines, so moved accesses must miss
+        assert cache_key(_spec(RACY)) != cache_key(_spec(SHIFT + RACY))
+        assert cache_key(_spec(CLEAN)) != cache_key(_spec(CLEAN_RESTYLED))
 
     def test_changed_source_changes_the_key(self):
         assert cache_key(_spec(CLEAN)) != cache_key(_spec(RACY))
@@ -53,6 +68,69 @@ class TestCacheKey:
         bad = "__global__ void k( this does not parse"
         assert cache_key(_spec(bad)) == cache_key(_spec(bad))
         assert cache_key(_spec(bad)) != cache_key(_spec(CLEAN))
+
+
+def _count_compiles(monkeypatch):
+    calls = []
+    real = repro.frontend.compile_source
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(repro.frontend, "compile_source", counting)
+    return calls
+
+
+class TestFormMemo:
+    def test_repeated_key_does_not_compile(self, monkeypatch):
+        calls = _count_compiles(monkeypatch)
+        source = RACY + "// memo: repeated key\n"
+        first = cache_key(_spec(source))
+        assert len(calls) == 1
+        assert cache_key(_spec(source, job_id="again")) == first
+        assert cache_key(_spec(source, block_dim=(32, 1, 1))) != first
+        assert len(calls) == 1
+
+    def test_memo_stays_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "FORM_MEMO_SIZE", 4)
+        calls = _count_compiles(monkeypatch)
+        sources = [CLEAN + f"// memo bound {i}\n" for i in range(7)]
+        for source in sources:
+            cache_key(_spec(source))
+        assert len(cache_module._form_memo) == 4
+        cache_key(_spec(sources[-1]))      # recent: still memoised
+        assert len(calls) == 7
+        cache_key(_spec(sources[0]))       # least recent: evicted
+        assert len(calls) == 8
+        assert len(cache_module._form_memo) == 4
+
+    def test_concurrent_threads_get_identical_keys(self, monkeypatch):
+        calls = _count_compiles(monkeypatch)
+        sources = [RACY + f"// memo threads {i}\n" for i in range(8)]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        keys = [None] * workers
+
+        def compute(slot):
+            barrier.wait(timeout=30)
+            keys[slot] = [cache_key(_spec(s)) for s in sources]
+
+        threads = [threading.Thread(target=compute, args=(slot,))
+                   for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(k == keys[0] for k in keys)
+        assert len(set(keys[0])) == 1   # trailing comments move nothing
+        assert len(calls) == len(sources)   # each source compiled once
 
 
 class TestCacheStore:
@@ -102,6 +180,23 @@ class TestSchedulerIntegration:
         assert batch.jobs[0].status == JobStatus.DONE  # not CACHED
         assert batch.cache_misses == 1
 
+    def test_shifted_source_misses_and_reports_shifted_lines(
+            self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        first = Scheduler(cache=cache).run(
+            [_spec(RACY, check_oob=False)])
+        second = Scheduler(cache=cache).run(
+            [_spec(SHIFT + RACY, check_oob=False)])
+        assert second.jobs[0].status == JobStatus.DONE
+        assert second.cache_hits == 0 and second.cache_misses == 1
+
+        def lines(job):
+            return [race["lines"] for race in job.verdict["races"]]
+
+        assert lines(first.jobs[0])
+        assert lines(second.jobs[0]) == \
+            [[line + 3 for line in pair] for pair in lines(first.jobs[0])]
+
     def test_errors_are_not_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         bad = _spec("__global__ void k( nope", job_id="bad")
@@ -110,6 +205,54 @@ class TestSchedulerIntegration:
         second = Scheduler(cache=cache).run([bad])
         assert second.jobs[0].status == JobStatus.ERROR
         assert second.cache_hits == 0
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+
+
+def _overwrite(value):
+    def damage(path):
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+    return damage
+
+
+def _leave_tmp_file(path):
+    # a writer killed between write and rename: no entry, a stray
+    # temporary beside where it would be
+    os.replace(path, path + ".tmp.123.456")
+
+
+class TestDamagedEntries:
+    """A damaged entry is a counted miss and the job is re-checked
+    cold, never an error or a wrong verdict."""
+
+    @pytest.mark.parametrize("damage", [
+        _truncate, _overwrite([]), _overwrite("x"),
+        _overwrite({"verdict": 3}),
+        _overwrite({"verdict": {"races": [7]}}), _leave_tmp_file,
+    ], ids=["truncated", "list", "string", "verdict-not-object",
+            "race-not-object", "leftover-tmp"])
+    def test_damaged_entry_is_rechecked_cold(self, tmp_path, damage):
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = _spec(RACY, check_oob=False)
+        fresh = Scheduler(cache=cache).run([spec]).jobs[0]
+        damage(cache._path(fresh.cache_key))
+
+        again = Scheduler(cache=cache).run([spec])
+        assert again.cache_misses == 1 and again.cache_hits == 0
+        assert again.jobs[0].status == JobStatus.DONE
+        assert again.jobs[0].issue_tags() == fresh.issue_tags()
+
+        # the re-checked verdict replaced the damaged entry
+        replay = Scheduler(cache=cache).run([spec])
+        assert replay.jobs[0].status == JobStatus.CACHED
+        assert json.dumps(replay.jobs[0].verdict, sort_keys=True) == \
+            json.dumps(again.jobs[0].verdict, sort_keys=True)
 
 
 def _fill(cache, n, age_seconds=0.0, start=0):

@@ -10,9 +10,10 @@ import os
 
 import pytest
 
+from repro import code_digest
 from repro.smt import mk_add, mk_bv, mk_bv_var, mk_mul, mk_ult
 from repro.smt.persist import (
-    FORMAT_VERSION, SolverArtifactStore, TOOL_VERSION, canonical_term,
+    FORMAT_VERSION, SolverArtifactStore, canonical_term,
     preamble_fingerprint,
 )
 
@@ -75,7 +76,7 @@ class TestRoundTrip:
         assert artifact["memo"] == [list(m) for m in memo]
         assert artifact["pairs"] == pairs
         assert artifact["format"] == FORMAT_VERSION
-        assert artifact["tool"] == TOOL_VERSION
+        assert artifact["tool"] == code_digest()
 
     def test_plain_miss(self, tmp_path):
         store = SolverArtifactStore(str(tmp_path))

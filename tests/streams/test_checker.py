@@ -1,5 +1,7 @@
 """StreamChecker: inter-launch races, pruning, caching, reports."""
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -144,6 +146,90 @@ class TestCaching:
                         args={"a": "a"})
         assert base != launch_fingerprint(
             checker.module, bigger, checker._config_for(bigger))
+
+
+def _race_lines(report):
+    return [(r.loc1, r.loc2) for r in report.inter_launch_races]
+
+
+def _with_source(program, source):
+    return dataclasses.replace(program, source=source)
+
+
+class TestLocationAwareCaching:
+    """A cached verdict names source lines, so a launch whose kernel
+    moved must miss, and one whose kernel stayed put must still hit."""
+
+    def test_line_shifted_program_misses_and_reports_new_lines(
+            self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        program = get_stream_case("pipeline_missing_sync").program
+        assert _race_lines(check_stream(program, cache=cache)) == [(3, 7)]
+        shifted = check_stream(
+            _with_source(program, "// a\n// b\n// c\n" + program.source),
+            cache=cache)
+        assert shifted.stats.launch_cache_hits == 0
+        assert shifted.stats.pair_cache_hits == 0
+        assert _race_lines(shifted) == [(6, 10)]
+
+    def test_edit_inside_last_kernel_replays_earlier_launches(
+            self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        program = get_stream_case("pipeline_missing_sync").program
+        check_stream(program, cache=cache)
+        statement = "b[threadIdx.x] = a[threadIdx.x] + 1;"
+        edited = program.source.replace(
+            statement, "// moved down a line\n    " + statement)
+        report = check_stream(_with_source(program, edited), cache=cache)
+        assert {o.label: o.cached for o in report.launches} == \
+            {"produce": True, "consume": False}
+        assert report.stats.pair_cache_hits == 0
+        assert _race_lines(report) == [(3, 8)]
+
+
+def _damage_entry(path, kind):
+    if kind == "leftover-tmp":
+        os.replace(path, path + ".tmp.123.456")
+        return
+    if kind == "truncated":
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        return
+    value = {"list": [], "string": "x", "verdict-not-object": {"verdict": 3},
+             "races-not-list": {"races": 3},
+             "race-missing-fields": {"races": [{"kind": "RW"}]}}[kind]
+    with open(path, "w") as fh:
+        json.dump(value, fh)
+
+
+@pytest.mark.parametrize("kind", [
+    "truncated", "list", "string", "verdict-not-object", "races-not-list",
+    "race-missing-fields", "leftover-tmp"])
+@pytest.mark.parametrize("entry", ["launch", "pair"])
+def test_damaged_entry_is_a_counted_miss(tmp_path, entry, kind):
+    cache = ResultCache(str(tmp_path / "cache"))
+    program = get_stream_case("pipeline_missing_sync").program
+    checker = StreamChecker(program, cache=cache)
+    fresh = checker.check()
+    launch, other = fresh.launches
+    key = launch.fingerprint if entry == "launch" else \
+        checker._pair_fingerprint(launch, other)
+    _damage_entry(cache._path(key), kind)
+
+    misses = cache.misses
+    again = check_stream(program, cache=cache)
+    assert cache.misses == misses + 1
+    assert again.stats.launch_cache_hits == (1 if entry == "launch" else 2)
+    assert again.stats.pair_cache_hits == (1 if entry == "launch" else 0)
+    assert _race_lines(again) == _race_lines(fresh) == [(3, 7)]
+
+    # the re-checked entry replaced the damaged one
+    replay = check_stream(program, cache=cache)
+    assert replay.stats.launch_cache_hits == 2
+    assert replay.stats.pair_cache_hits == 1
+    assert _race_lines(replay) == [(3, 7)]
 
 
 def test_atomic_vs_atomic_across_launches_is_not_a_race():

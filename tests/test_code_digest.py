@@ -1,0 +1,64 @@
+"""Every content key and solver artifact is tied to the checker code
+(:func:`repro.code_digest`), not to ``__version__``: an entry written
+by other analysis code must miss or cold-start."""
+import repro
+from repro import code_digest
+from repro.kernels.streams import get_stream_case
+from repro.service import JobSpec, cache_key, swarm_cache_key
+from repro.smt.persist import SolverArtifactStore
+from repro.streams import StreamChecker
+
+SOURCE = """
+__shared__ int v[64];
+__global__ void race() {
+  v[threadIdx.x] = v[(threadIdx.x + 1) % blockDim.x];
+}
+"""
+
+STATE = {
+    "snapshot": {"num_vars": 2, "clauses": [[1, -2]], "true_lit": 2,
+                 "var_bits": {"x": [1]}, "bool_vars": {}},
+    "learnts": [],
+}
+
+
+def _keys():
+    """Every code-keyed fingerprint, computed under the current digest."""
+    spec = JobSpec(job_id="j", source=SOURCE)
+    checker = StreamChecker(
+        get_stream_case("pipeline_missing_sync").program)
+    launches = checker.check().launches
+    return {
+        "cache_key": cache_key(spec),
+        "swarm_cache_key": swarm_cache_key(spec, 4),
+        "launch_fingerprint": launches[0].fingerprint,
+        "pair_fingerprint": checker._pair_fingerprint(*launches),
+    }
+
+
+def test_digest_is_a_lazy_sha256_of_the_sources(monkeypatch):
+    digest = code_digest()
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert code_digest() is digest          # computed once
+    monkeypatch.setattr(repro, "_code_digest", None)
+    assert code_digest() == digest          # deterministic recompute
+
+
+def test_changed_code_changes_every_key(monkeypatch):
+    before = _keys()
+    monkeypatch.setattr(repro, "_code_digest", "0" * 64)
+    after = _keys()
+    assert all(before[name] != after[name] for name in before), \
+        {name: before[name] == after[name] for name in before}
+
+
+def test_changed_code_cold_starts_a_persisted_artifact(
+        tmp_path, monkeypatch):
+    store = SolverArtifactStore(str(tmp_path))
+    fp = "ab" + "2" * 62
+    store.save(fp, STATE)
+    artifact, warning = store.load(fp)
+    assert artifact is not None and warning is None
+    monkeypatch.setattr(repro, "_code_digest", "0" * 64)
+    artifact, warning = store.load(fp)
+    assert artifact is None and "cold-starting" in warning
