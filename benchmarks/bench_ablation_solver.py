@@ -1,24 +1,16 @@
-"""Ablation — incremental solver sessions on the race-check hot path.
+"""Solver-session dispatch counters and the SAT-core query ceiling.
 
-The incremental path simplifies and bit-blasts each preamble (bounds +
-distinct-thread + barrier-interval context) once, then discharges every
-candidate pair against that live SAT instance under assumption
-literals, with learned clauses retained and a normalized query memo in
-front. The one-shot path (``incremental_solving=False``) rebuilds the
-full formula and a fresh CDCL instance per query, as the checker did
-before sessions existed.
+Every race query simplifies and bit-blasts its preamble (bounds +
+distinct-thread + barrier-interval context) once per session, then
+discharges each candidate pair against that live SAT instance under
+assumption literals, with learned clauses retained and a normalized
+query memo in front.
 
-This bench runs the paper + reductions suites through SESA both ways
-and asserts the contract:
-
-* every kernel's verdicts (races/OOBs/assertions, incl. benign flags)
-  are identical across the two paths;
-* the incremental path constructs at most half the fresh SAT instances
-  (``by_sat``) of the one-shot path — the blast-once claim;
-* the incremental path's total SAT-core work (fresh + assumption
-  checks) does not regress above the recorded baseline in
-  ``BENCH_solver_baseline.json`` (guards against cache keys silently
-  breaking and pushing queries back into the SAT core).
+This bench runs the paper + reductions suites through SESA and gates
+the total SAT-core work (fresh instances + assumption checks): it may
+not exceed the recorded baseline in ``BENCH_solver_baseline.json`` by
+more than ``SLACK`` (guards against cache keys silently breaking and
+pushing queries back into the SAT core).
 
 The dispatch table and counters land in ``BENCH_solver.json`` (CI
 uploads it as an artifact).
@@ -27,51 +19,34 @@ import json
 import os
 import time
 
-import pytest
-
 from common import print_table
 from repro.core import SESA
 from repro.service.corpus import SUITES, spec_from_kernel
 
 SUITE_NAMES = ("paper", "reductions")
 
-#: regression gate: incremental SAT-core queries (fresh + assumption
-#: checks) may not exceed baseline * SLACK
+#: regression gate: SAT-core queries (fresh + assumption checks) may
+#: not exceed baseline * SLACK
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "BENCH_solver_baseline.json")
 SLACK = 1.25
 
-RESULTS = {}
 
-
-def _signature(report):
-    races = sorted(
-        (r.kind, r.obj_name, r.access1.loc, r.access2.loc,
-         r.benign, r.unresolvable) for r in report.races)
-    oobs = sorted((o.obj_name, o.access.loc) for o in report.oobs)
-    asserts = sorted(a.loc for a in report.assertion_failures)
-    return (races, oobs, asserts, report.timed_out)
-
-
-def run_suites(incremental):
+def run_suites():
     agg = {"queries": 0, "by_memo": 0, "by_affine": 0,
            "by_simplifier": 0, "by_interval": 0, "by_sat": 0,
            "by_session": 0, "sat_instances": 0, "preamble_reuse": 0,
            "sessions_created": 0, "sat_conflicts": 0,
            "learned_clauses": 0}
-    verdicts = {}
     start = time.perf_counter()
     for suite in SUITE_NAMES:
         for kernel in SUITES[suite]:
             spec = spec_from_kernel(kernel, suite=suite)
-            spec.incremental_solving = incremental
-            # this ablation measures the solver stack: keep the static
+            # this bench measures the solver stack: keep the static
             # tier out so every kernel actually reaches the solver
             spec.static_tier = False
             tool = SESA.from_source(spec.source, spec.kernel_name)
-            report = tool.check(spec.launch_config())
-            verdicts[spec.job_id] = _signature(report)
-            cs = report.check_stats
+            cs = tool.check(spec.launch_config()).check_stats
             if cs is None:
                 continue
             agg["queries"] += cs.queries
@@ -87,93 +62,31 @@ def run_suites(incremental):
             agg["sat_conflicts"] += cs.solver.sat_conflicts
             agg["learned_clauses"] += cs.solver.learned_clauses
     agg["ms"] = (time.perf_counter() - start) * 1e3
-    return agg, verdicts
+    return agg
 
 
-@pytest.mark.parametrize("mode", ["one_shot", "incremental"])
-def test_mode(benchmark, mode):
-    def run():
-        return run_suites(incremental=(mode == "incremental"))
-    agg, verdicts = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS[mode] = (agg, verdicts)
-
-
-def test_stack_differential(benchmark):
-    """Relative gate: the fast solver stack (arena CDCL core, constant
-    folding in the Tseitin gates, template lowering, plain-guard
-    assumptions) must finish the suites at least 2x faster than the
-    ``legacy`` stack — a faithful reconstruction of the pre-arena
-    pipeline — at identical verdicts. Same-process, same suites, so
-    the ratio is robust to runner speed."""
-    from repro.smt import set_solver_stack
-    prev = set_solver_stack("legacy")
-    try:
-        legacy, legacy_verdicts = run_suites(incremental=True)
-    finally:
-        set_solver_stack(prev)
-    fast, fast_verdicts = benchmark.pedantic(
-        lambda: run_suites(incremental=True), rounds=1, iterations=1)
-    assert fast_verdicts == legacy_verdicts, \
-        "fast and legacy solver stacks disagree on a verdict!"
-    ratio = legacy["ms"] / fast["ms"]
-    RESULTS["stack"] = {"legacy_ms": round(legacy["ms"], 1),
-                        "fast_ms": round(fast["ms"], 1),
-                        "speedup": round(ratio, 2)}
-    print(f"\nstack differential: legacy {legacy['ms']:.0f} ms, "
-          f"fast {fast['ms']:.0f} ms -> {ratio:.2f}x "
-          "(verdicts identical)")
-    assert ratio >= 2.0, (
-        f"fast-stack speedup {ratio:.2f}x fell below the 2x gate")
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if "one_shot" not in RESULTS or "incremental" not in RESULTS:
-        pytest.skip("run the full module for the report")
-    one, inc = RESULTS["one_shot"][0], RESULTS["incremental"][0]
-
-    # the contract: a pure performance layer — verdicts are identical
-    assert RESULTS["incremental"][1] == RESULTS["one_shot"][1], \
-        "incremental sessions changed a verdict!"
+def test_sat_core_ceiling(benchmark):
+    agg = benchmark.pedantic(run_suites, rounds=1, iterations=1)
 
     cols = ["queries", "by_memo", "by_affine", "by_simplifier",
             "by_interval", "by_sat", "by_session", "preamble_reuse",
             "sat_conflicts"]
-    rows = [[mode] + [RESULTS[mode][0][c] for c in cols]
-            + [f"{RESULTS[mode][0]['ms']:.0f}"]
-            for mode in ("one_shot", "incremental")]
-    print_table(
-        "Ablation: incremental solver sessions "
-        "(verdicts identical across modes)",
-        ["mode"] + cols + ["ms"], rows)
+    print_table("Solver-session dispatch (paper + reductions)",
+                cols + ["ms"],
+                [[agg[c] for c in cols] + [f"{agg['ms']:.0f}"]])
 
-    payload = {
-        "suites": list(SUITE_NAMES),
-        "one_shot": one,
-        "incremental": inc,
-        "sat_core_queries": {
-            "one_shot": one["by_sat"] + one["by_session"],
-            "incremental": inc["by_sat"] + inc["by_session"],
-        },
-    }
-    if "stack" in RESULTS:
-        payload["stack"] = RESULTS["stack"]
+    actual = agg["by_sat"] + agg["by_session"]
+    payload = {"suites": list(SUITE_NAMES), "dispatch": agg,
+               "sat_core_queries": actual}
     out_path = os.environ.get("BENCH_OUT", os.path.join(
         os.path.dirname(__file__), "BENCH_solver.json"))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(f"wrote {out_path}")
 
-    # blast-once: the incremental path constructs at most half the
-    # fresh SAT instances of the one-shot path
-    assert one["by_sat"] >= 2 * inc["by_sat"], (one["by_sat"],
-                                                inc["by_sat"])
-
-    # regression gate against the recorded baseline
     with open(BASELINE_PATH, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
     budget = baseline["incremental_sat_core_queries"] * SLACK
-    actual = inc["by_sat"] + inc["by_session"]
     assert actual <= budget, (
-        f"incremental SAT-core queries regressed: {actual} > "
+        f"SAT-core queries regressed: {actual} > "
         f"{baseline['incremental_sat_core_queries']} * {SLACK}")

@@ -53,7 +53,6 @@ verdicts = {}
 for suite in ("paper", "reductions"):
     for kernel in SUITES[suite]:
         spec = spec_from_kernel(kernel, suite=suite)
-        spec.incremental_solving = True
         spec.solver_cache_dir = sys.argv[1]
         # warm starts only exist on the solver path: keep the static
         # tier out so every kernel produces solver artifacts

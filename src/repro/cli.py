@@ -100,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="element count for a pointer param")
     check.add_argument("--time-budget", type=float, default=None,
                        metavar="SECONDS")
-    check.add_argument("--no-incremental", action="store_true",
-                       help="solve every race query from scratch instead "
-                            "of on incremental solver sessions")
     check.add_argument("--no-pruning", action="store_true",
                        help="disable the pre-solver pruning pipeline "
                             "(summarization, bucketing, pair memo)")
@@ -124,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "/ verdict memos from DIR and refresh them "
                             "after the run (a pure accelerator — never "
                             "changes a verdict)")
-    check.add_argument("--solver-stack",
-                       choices=["fast", "legacy"], default=None,
-                       help="pin the solver stack: 'legacy' reproduces "
-                            "the pre-arena pipeline (differential "
-                            "baseline), default is the fast stack")
     check.add_argument("--profile", action="store_true",
                        help="append a per-phase wall-clock and solver "
                             "dispatch breakdown to the report")
@@ -157,15 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PARAM=COUNT")
     prof.add_argument("--time-budget", type=float, default=None,
                       metavar="SECONDS")
-    prof.add_argument("--no-incremental", action="store_true")
     prof.add_argument("--no-pruning", action="store_true")
     prof.add_argument("--no-static-tier", action="store_true")
     prof.add_argument("--solver-cache", default=None, metavar="DIR",
                       help="profile with a warm-start artifact cache")
-    prof.add_argument("--solver-stack",
-                      choices=["fast", "legacy"], default=None,
-                      help="profile the chosen stack (for fast-vs-"
-                           "legacy comparisons)")
     prof.add_argument("--top", type=int, default=10, metavar="N",
                       help="also list the N most expensive functions "
                            "(default 10)")
@@ -203,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--remove-redundant", action="store_true",
                      help="also delete pre-existing barriers proven "
                           "redundant by re-checking")
-    rep.add_argument("--no-incremental", action="store_true",
-                     help="give every re-check its own cold solver "
-                          "sessions instead of the shared warm pool")
     rep.add_argument("--diff", action="store_true",
                      help="print only the unified source diff of the fix")
     rep.add_argument("--json", action="store_true",
@@ -260,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default <cache-dir>/trace.jsonl)")
     batch.add_argument("--limit", type=int, default=None, metavar="N",
                        help="only run the first N jobs of the corpus")
-    batch.add_argument("--no-incremental", action="store_true",
-                       help="solve every race query from scratch instead "
-                            "of on incremental solver sessions")
     batch.add_argument("--no-pruning", action="store_true",
                        help="disable the pre-solver pruning pipeline "
                             "(summarization, bucketing, pair memo)")
@@ -410,10 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--time-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole program")
-    stream.add_argument("--no-incremental", action="store_true",
-                        help="solve every cross-launch query from "
-                             "scratch instead of on incremental "
-                             "solver sessions")
     stream.add_argument("--no-pruning", action="store_true",
                         help="disable footprint/stride pruning of "
                              "cross-launch access pairs")
@@ -459,7 +436,6 @@ def _config_from(args) -> LaunchConfig:
         scalar_values=_parse_kv(args.set, "--set"),
         array_sizes=_parse_kv(args.array_size, "--array-size"),
         time_budget_seconds=args.time_budget,
-        incremental_solving=not args.no_incremental,
         pair_pruning=not args.no_pruning,
         static_tier=not getattr(args, "no_static_tier", False),
         solver_cache_dir=getattr(args, "solver_cache", None))
@@ -495,9 +471,6 @@ def _render_swarm_result(result) -> None:
 def cmd_check(args) -> int:
     """The ``check`` subcommand: analyse and report races/OOB."""
     source = _read_source(args.file)
-    if getattr(args, "solver_stack", None):
-        from .smt import set_solver_stack
-        set_solver_stack(args.solver_stack)
     if args.portfolio and not args.swarm:
         print("repro: --portfolio requires --swarm", file=sys.stderr)
         return 2
@@ -518,7 +491,6 @@ def cmd_check(args) -> int:
             scalar_values=_parse_kv(args.set, "--set"),
             array_sizes=_parse_kv(args.array_size, "--array-size"),
             time_budget_seconds=args.time_budget,
-            incremental_solving=not args.no_incremental,
             pair_pruning=not args.no_pruning,
             static_tier=not args.no_static_tier,
             solver_cache_dir=args.solver_cache)
@@ -669,9 +641,6 @@ def cmd_profile(args) -> int:
     arena CDCL core and the batched lowering."""
     import cProfile
     source = _read_source(args.file)
-    if args.solver_stack:
-        from .smt import set_solver_stack
-        set_solver_stack(args.solver_stack)
     engine_cls = {"sesa": SESA, "gkleep": GKLEEp, "gklee": GKLEE}[args.engine]
     tool = engine_cls.from_source(source, args.kernel)
     config = _config_from(args)
@@ -695,7 +664,6 @@ def cmd_profile(args) -> int:
     payload = {
         "kernel": args.kernel or os.path.basename(args.file),
         "engine": args.engine,
-        "solver_stack": args.solver_stack or "fast",
         "buckets": {k: round(v, 6) for k, v in sorted(
             buckets.items(), key=lambda kv: -kv[1])},
         "hotspots": [{"self_seconds": round(tt, 6), "calls": nc,
@@ -709,7 +677,7 @@ def cmd_profile(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"profile of {payload['kernel']} "
-          f"[{args.engine}, {payload['solver_stack']} stack]: "
+          f"[{args.engine}]: "
           f"{len(report.races)} race(s), {len(report.oobs)} OOB")
     print("self-time by pipeline layer:")
     for bucket, seconds in payload["buckets"].items():
@@ -743,7 +711,6 @@ def cmd_repair(args) -> int:
     result = repair_source(
         source, config=config, kernel_name=args.kernel,
         max_iterations=args.max_iterations,
-        share_sessions=not args.no_incremental,
         remove_redundant=args.remove_redundant,
         time_budget_seconds=args.time_budget)
     ok = result.converged and result.verified
@@ -846,9 +813,6 @@ def cmd_batch(args) -> int:
             print("repro: --limit must be >= 0", file=sys.stderr)
             return 2
         specs = specs[:args.limit]
-    if args.no_incremental:
-        for spec in specs:
-            spec.incremental_solving = False
     if args.no_pruning:
         for spec in specs:
             spec.pair_pruning = False
@@ -1219,7 +1183,6 @@ def cmd_stream(args) -> int:
     checker = StreamChecker(
         program, cache=cache, telemetry=telemetry,
         time_budget_seconds=args.time_budget,
-        incremental=not args.no_incremental,
         pruning=not args.no_pruning,
         static_tier=not args.no_static_tier,
         solver_cache_dir=args.solver_cache)

@@ -99,9 +99,6 @@ class JobSpec:
     max_steps: Optional[int] = None
     #: soft (in-engine) wall-clock budget; the engine stops gracefully
     time_budget_seconds: Optional[float] = None
-    #: solve race queries on incremental solver sessions (the default);
-    #: False forces the one-shot path for differential runs
-    incremental_solving: bool = True
     #: pre-solver pruning pipeline (summarization, disjointness buckets,
     #: pair memo); False forces raw enumeration for differential runs
     pair_pruning: bool = True
@@ -228,7 +225,6 @@ class JobSpec:
             scalar_values=dict(self.scalar_values),
             array_sizes=dict(self.array_sizes),
             time_budget_seconds=self.time_budget_seconds,
-            incremental_solving=self.incremental_solving,
             pair_pruning=self.pair_pruning,
             static_tier=self.static_tier,
             shard=(dict(self.shard) if self.shard is not None else None),
@@ -269,10 +265,9 @@ class JobSpec:
             # the budgets can turn a verdict into a T.O. verdict, so
             # they are part of the key
             "time_budget_seconds": self.time_budget_seconds,
-            # the solving strategy shouldn't change verdicts, but the
-            # point of the escape hatch is to verify exactly that — so
-            # the two paths must not share cache entries
-            "incremental_solving": self.incremental_solving,
+            # pruning shouldn't change verdicts, but the point of the
+            # escape hatch is to verify exactly that — so the two paths
+            # must not share cache entries
             "pair_pruning": self.pair_pruning,
             # the tiers must agree on verdicts (the equivalence suite
             # enforces it), but the escape hatch exists to prove that —
@@ -341,7 +336,6 @@ class JobSpec:
             max_flows=data.get("max_flows"),
             max_steps=data.get("max_steps"),
             time_budget_seconds=data.get("time_budget_seconds"),
-            incremental_solving=data.get("incremental_solving", True),
             pair_pruning=data.get("pair_pruning", True),
             static_tier=data.get("static_tier", True),
             repair=data.get("repair", False),

@@ -127,7 +127,6 @@ def _execute_stream_job(spec: JobSpec, start: float) -> dict:
         checker = StreamChecker(
             program, cache=cache,
             time_budget_seconds=spec.time_budget_seconds,
-            incremental=spec.incremental_solving,
             pruning=spec.pair_pruning,
             static_tier=spec.static_tier,
             check_oob=spec.check_oob,

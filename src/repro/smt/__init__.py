@@ -22,8 +22,6 @@ from .affine import (
     affine_decompose, equality_forces_equal_components, injective_on_box,
     stride_separated,
 )
-from .cnf import get_solver_stack, set_solver_stack
-from .sat import make_solver, set_solver_impl
 from .solver import CheckResult, Model, Solver, SolverStats, get_model, is_sat
 from .session import QueryMemo, SolverSession, TemplateCache
 from .persist import (
@@ -47,7 +45,5 @@ __all__ = [
     "injective_on_box", "stride_separated",
     "CheckResult", "Model", "Solver", "SolverStats", "get_model", "is_sat",
     "QueryMemo", "SolverSession", "TemplateCache",
-    "get_solver_stack", "set_solver_stack", "make_solver",
-    "set_solver_impl",
     "SolverArtifactStore", "canonical_term", "preamble_fingerprint",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .cnf import CNF, get_solver_stack
+from .cnf import CNF
 from .sorts import BOOL, BVSort
 from . import terms as T
 from .terms import Op, Term
@@ -262,8 +262,6 @@ class BitBlaster:
         Tseitin equivalence circuit. Falls back to :meth:`blast_bool`
         (full equivalence) for shapes without a cheap positive form.
         """
-        if get_solver_stack() == "legacy":
-            return self.blast_bool(term)
         nid = id(term)
         lit = self._bool_map.get(nid)
         if lit is not None:

@@ -3,32 +3,15 @@
 Literals are non-zero ints: ``+v`` / ``-v`` for variable ``v >= 1``
 (DIMACS convention). The bitblaster emits into a :class:`CNF`, which the
 SAT solver consumes.
+
+The Tseitin gates fold inputs that are the constant true/false literal,
+so constant-heavy circuits (multiply/add by a literal constant — the
+common shape of address expressions) collapse to a few clauses instead
+of a full word-width netlist.
 """
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Sequence
-
-#: "fast" (default) or "legacy": selects the whole solver stack — the
-#: arena vs. reference SAT core, constant folding in the Tseitin gates,
-#: template instantiation and polarity-aware goal lowering in the
-#: session. The legacy stack reproduces the pre-arena pipeline and is
-#: the oracle for differential tests and relative benchmark gates.
-_STACK = os.environ.get("REPRO_SOLVER_STACK", "fast")
-
-
-def set_solver_stack(name: str) -> str:
-    """Select "fast" or "legacy"; returns the previous selection."""
-    global _STACK
-    if name not in ("fast", "legacy"):
-        raise ValueError(f"unknown solver stack: {name!r}")
-    prev = _STACK
-    _STACK = name
-    return prev
-
-
-def get_solver_stack() -> str:
-    return _STACK
 
 
 class CNF:
@@ -50,11 +33,6 @@ class CNF:
         #: are transient (they die with the solver at rotation), so
         #: recording them would only burn memory.
         self.record: bool = True
-        #: fold gates whose inputs are the constant true/false literal.
-        #: Constant-heavy circuits (multiply/add by a literal constant —
-        #: the common shape of address expressions) collapse to a few
-        #: clauses instead of a full word-width netlist.
-        self.fold: bool = _STACK == "fast"
 
     def attach(self, solver) -> None:
         """Forward every future clause to *solver* (incremental mode)."""
@@ -117,7 +95,7 @@ class CNF:
             return a
         if a == -b:
             return self.const_false()
-        if self.fold and self._true_lit is not None:
+        if self._true_lit is not None:
             t = self._true_lit
             if a == t:
                 return b
@@ -139,7 +117,7 @@ class CNF:
             return self.const_false()
         if a == -b:
             return self.const_true()
-        if self.fold and self._true_lit is not None:
+        if self._true_lit is not None:
             t = self._true_lit
             if a == t:
                 return -b
@@ -183,7 +161,7 @@ class CNF:
         if sel == -else_lit:
             # sel ? t : !sel  ==  !sel | t
             return self.gate_or(-sel, then_lit)
-        if self.fold and self._true_lit is not None:
+        if self._true_lit is not None:
             t = self._true_lit
             if sel == t:
                 return then_lit

@@ -31,14 +31,14 @@ work and receive ``"unknown"`` instead of hanging. The budget is
 per-``solve``-call (a delta, not a lifetime total), so a long-lived
 incremental instance gives every query the same allowance.
 
-The previous list-of-lists implementation survives verbatim in
-:mod:`repro.smt.sat_legacy` as the differential oracle; select it with
-``REPRO_SAT_IMPL=legacy`` or :func:`set_solver_impl`.
+It is the only SAT core: the one-shot :class:`~repro.smt.solver.Solver`
+and every :class:`~repro.smt.session.SolverSession` construct it
+directly. Its differential oracle is an exhaustive truth-table check in
+the test suite, which shares no code with any CDCL core.
 """
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -573,51 +573,9 @@ class SatSolver:
                 self._enqueue_root(el)
 
 
-# ----------------------------------------------------------------------
-# implementation selection (arena vs. legacy differential oracle)
-# ----------------------------------------------------------------------
-
-_IMPL = os.environ.get("REPRO_SAT_IMPL", "arena")
-
-
-def set_solver_impl(name: str) -> str:
-    """Select the SAT core: ``"arena"`` (default) or ``"legacy"``.
-
-    Returns the previous selection so callers can restore it. The
-    legacy solver is the pre-arena reference implementation; benches
-    use this switch for same-process relative speedup gates.
-    """
-    global _IMPL
-    if name not in ("arena", "legacy"):
-        raise ValueError(f"unknown SAT implementation: {name!r}")
-    prev = _IMPL
-    _IMPL = name
-    return prev
-
-
-def get_solver_impl() -> str:
-    return _IMPL
-
-
-def make_solver(cnf: CNF, conflict_budget: Optional[int] = None,
-                deadline: Optional[float] = None):
-    """Construct a solver honouring the active implementation switch.
-
-    Both the fine-grained ``set_solver_impl`` knob and the stack-wide
-    ``repro.smt.cnf.set_solver_stack("legacy")`` select the reference
-    core.
-    """
-    from .cnf import get_solver_stack
-    if _IMPL == "legacy" or get_solver_stack() == "legacy":
-        from .sat_legacy import LegacySatSolver
-        return LegacySatSolver(cnf, conflict_budget=conflict_budget,
-                               deadline=deadline)
-    return SatSolver(cnf, conflict_budget=conflict_budget, deadline=deadline)
-
-
 def solve_cnf(cnf: CNF, assumptions: Sequence[int] = (),
               conflict_budget: Optional[int] = None) -> tuple[str, Dict[int, bool]]:
     """Convenience wrapper: returns (result, model)."""
-    solver = make_solver(cnf, conflict_budget=conflict_budget)
+    solver = SatSolver(cnf, conflict_budget=conflict_budget)
     result = solver.solve(assumptions)
     return result, solver.model

@@ -9,9 +9,12 @@ shape:
 * the preamble is simplified and bit-blasted **once** into a live
   :class:`~repro.smt.sat.SatSolver`;
 * each :meth:`check` blasts only the goal conjuncts (the blaster skips
-  subterms it has lowered before) and solves under their literals as
-  *assumptions* — sound because the Tseitin gates are full
-  equivalences, so a goal literal being true forces exactly the goal;
+  subterms it has lowered before, and the shared
+  :class:`~repro.smt.bitblast.TemplateCache` instantiates repeated
+  offset skeletons) and solves under their literals as *assumptions*.
+  Each goal literal only *implies* its conjunct (the positive-polarity
+  lowering of :meth:`~repro.smt.bitblast.BitBlaster.blast_assume`),
+  which is sound because goal conjuncts are only ever assumed true;
 * learned clauses are retained across queries — they are resolvents of
   real clauses only, hence valid whatever the assumptions.
 
@@ -33,15 +36,18 @@ starts (:meth:`SolverSession.export_state` /
 canonical goal term -> verdict (+ model values), so structurally
 identical pairs — rampant in unrolled kernels — never touch the SAT
 core at all. UNKNOWN is never memoized.
+
+Every race and stream-pair query takes this one path: simplifier ->
+memo -> session -> :class:`~repro.smt.sat.SatSolver`.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bitblast import BitBlaster, TemplateCache
-from .cnf import CNF, get_solver_stack
+from .cnf import CNF
 from .interval import Interval, IntervalAnalysis, derive_bounds
-from .sat import SatResult, make_solver
+from .sat import SatResult, SatSolver
 from .simplify import simplify
 from .solver import CheckResult, Model, SolverStats
 from . import terms as T
@@ -196,8 +202,7 @@ class SolverSession:
         if self._sat is not None:
             return
         cnf = CNF()
-        templates = self._templates if get_solver_stack() == "fast" else None
-        blaster = BitBlaster(cnf, templates=templates)
+        blaster = BitBlaster(cnf, templates=self._templates)
         snap = self._snapshot
         if snap is None:
             for t in self.preamble:
@@ -220,8 +225,8 @@ class SolverSession:
         cnf.record = False  # goal clauses die with the instance
         self._cnf = cnf
         self._blaster = blaster
-        sat = make_solver(cnf, conflict_budget=self.conflict_budget,
-                          deadline=self.deadline)
+        sat = SatSolver(cnf, conflict_budget=self.conflict_budget,
+                        deadline=self.deadline)
         if self._retained:
             sat.add_clauses(self._retained)
         cnf.attach(sat)
@@ -319,23 +324,19 @@ class SolverSession:
         # blaster's node map answers them for free on later queries),
         # while the small per-pair ones (offset equations) are exactly
         # what the template cache instantiates.
-        if get_solver_stack() == "legacy":
-            assumptions = [blaster.blast_bool(t) for t in goal]
-            th0 = blaster.template_hits
-        else:
-            conjuncts: List[Term] = []
-            seen_ids = set()
-            stack = list(reversed(goal))
-            while stack:
-                t = stack.pop()
-                if t.op == T.Op.BAND:
-                    stack.extend(reversed(t.args))
-                    continue
-                if id(t) not in seen_ids:
-                    seen_ids.add(id(t))
-                    conjuncts.append(t)
-            th0 = blaster.template_hits
-            assumptions = [blaster.blast_assume(t) for t in conjuncts]
+        conjuncts: List[Term] = []
+        seen_ids = set()
+        stack = list(reversed(goal))
+        while stack:
+            t = stack.pop()
+            if t.op == T.Op.BAND:
+                stack.extend(reversed(t.args))
+                continue
+            if id(t) not in seen_ids:
+                seen_ids.add(id(t))
+                conjuncts.append(t)
+        th0 = blaster.template_hits
+        assumptions = [blaster.blast_assume(t) for t in conjuncts]
         self.stats.template_hits += blaster.template_hits - th0
         sat.ensure_vars(self._cnf.num_vars)
 

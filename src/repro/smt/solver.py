@@ -27,7 +27,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 from .bitblast import BitBlaster
 from .cnf import CNF
 from .interval import IntervalAnalysis, derive_bounds
-from .sat import SatResult, make_solver
+from .sat import SatResult, SatSolver
 from .simplify import simplify
 from .sorts import BOOL, BVSort
 from . import terms as T
@@ -215,8 +215,8 @@ class Solver:
         blaster = BitBlaster()
         for t in goal:
             blaster.assert_term(t)
-        sat = make_solver(blaster.cnf, conflict_budget=self.conflict_budget,
-                          deadline=self.deadline)
+        sat = SatSolver(blaster.cnf, conflict_budget=self.conflict_budget,
+                        deadline=self.deadline)
         result = sat.solve()
         self.stats.sat_conflicts += sat.conflicts
         self.stats.sat_decisions += sat.decisions

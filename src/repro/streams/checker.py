@@ -24,7 +24,7 @@ affine/interval/solver stack :mod:`repro.sym.races` uses:
   disjoint pairs before any solving (both are sound for independent
   sides);
 * surviving pairs are solved on one incremental
-  :class:`~repro.smt.solver.SolverSession` per launch pair (the
+  :class:`~repro.smt.session.SolverSession` per launch pair (the
   preamble is just the two bound sets), with the cross-query memo;
 * atomic-vs-atomic pairs are skipped and write/write collisions that
   provably store equal values are classified benign, mirroring the
@@ -62,7 +62,7 @@ from ..ir import function_to_str, instruction_locs
 from ..passes import standard_pipeline
 from ..service.cache import is_verdict_entry
 from ..smt import (
-    CheckResult, Model, QueryMemo, Solver, SolverSession, Substitution,
+    CheckResult, Model, QueryMemo, SolverSession, Substitution,
     TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
 )
 from ..smt.affine import affine_decompose, stride_separated
@@ -106,7 +106,6 @@ def launch_fingerprint(module: ir.Module, launch: Launch,
         "scalar_values": sorted(config.scalar_values.items()),
         "array_sizes": sorted(config.array_sizes.items()),
         "check_oob": config.check_oob,
-        "incremental_solving": config.incremental_solving,
         "pair_pruning": config.pair_pruning,
         "static_tier": config.static_tier,
         "code": code_digest(),
@@ -424,7 +423,7 @@ class StreamChecker:
     def __init__(self, program: StreamProgram,
                  cache=None, telemetry=None,
                  time_budget_seconds: Optional[float] = None,
-                 incremental: bool = True, pruning: bool = True,
+                 pruning: bool = True,
                  static_tier: bool = True, check_oob: bool = True,
                  solver_cache_dir: Optional[str] = None,
                  solver_budget: Optional[int] = 200_000,
@@ -436,7 +435,6 @@ class StreamChecker:
             telemetry = Telemetry()
         self.telemetry = telemetry
         self.time_budget_seconds = time_budget_seconds
-        self.incremental = incremental
         self.pruning = pruning
         self.static_tier = static_tier
         self.check_oob = check_oob
@@ -472,7 +470,6 @@ class StreamChecker:
             array_sizes={param: self.program.buffers[buf]
                          for param, buf in launch.args.items()},
             check_oob=self.check_oob,
-            incremental_solving=self.incremental,
             pair_pruning=self.pruning,
             static_tier=self.static_tier,
             solver_cache_dir=self.solver_cache_dir)
@@ -585,16 +582,6 @@ class StreamChecker:
     def _solve(self, goal: Sequence[Term], preamble: Sequence[Term],
                skey: Tuple[int, int]) -> Optional[Model]:
         self.stats.queries += 1
-        if not self.incremental:
-            solver = Solver(conflict_budget=self.solver_budget,
-                            deadline=self._deadline)
-            solver.add(mk_and(*preamble, *goal))
-            outcome = solver.check()
-            if outcome == CheckResult.SAT:
-                return solver.model()
-            if outcome == CheckResult.UNKNOWN:
-                self.timed_out = True
-            return None
         canon = simplify(mk_and(*goal)) if goal else TRUE
         key = (skey, id(canon))
         hit = self._memo.get(key)

@@ -60,10 +60,6 @@ class LaunchConfig:
     check_oob: bool = True
     #: SESA flow combining: drop merged values that feed no sink
     flow_combining: bool = True
-    #: solve race queries on incremental sessions (blast-once preambles,
-    #: assumption literals, cross-query memo). The one-shot escape hatch
-    #: (``--no-incremental``) exists for differential testing.
-    incremental_solving: bool = True
     #: pre-solver pruning pipeline: record-time access summarization,
     #: disjointness-bucketed pair generation, canonical pair memoization
     #: and the interval OOB fast path. The escape hatch

@@ -30,7 +30,7 @@ from ..smt.subst import EvaluationError, evaluate
 
 from .. import ir
 from ..smt import (
-    CheckResult, FALSE, Model, QueryMemo, Solver, SolverSession,
+    CheckResult, FALSE, Model, QueryMemo, SolverSession,
     SolverStats, Substitution, TRUE, Term, mk_and, mk_bv,
     mk_bv_var, mk_eq, mk_ne, mk_not, mk_or, mk_udiv, mk_ule, mk_ult,
     simplify,
@@ -181,7 +181,6 @@ class RaceChecker:
                  solver_budget: Optional[int] = 200_000,
                  max_reports: int = 16,
                  extra_assumptions: Optional[List[Term]] = None,
-                 incremental: Optional[bool] = None,
                  pruning: Optional[bool] = None,
                  sessions: Optional[Dict[Tuple[int, ...],
                                          SolverSession]] = None,
@@ -201,8 +200,6 @@ class RaceChecker:
         self.plan_mismatch = False
         self._current_ordinal: Optional[int] = None
         self.extra_assumptions: List[Term] = list(extra_assumptions or ())
-        self.incremental = self.config.incremental_solving \
-            if incremental is None else incremental
         self.pruning = self.config.pair_pruning \
             if pruning is None else pruning
         self.stats = CheckStats()
@@ -888,28 +885,10 @@ class RaceChecker:
                preamble: Sequence[Term]) -> Optional[Model]:
         """SAT model of ``preamble AND goal``, or None (UNSAT/unknown).
 
-        Incremental mode canonicalises the goal, consults the memo,
-        then checks it as assumptions against the session holding the
-        blasted preamble. The one-shot path solves the full conjunction
-        from scratch (``incremental_solving=False``).
+        Canonicalises the goal, consults the memo, then checks it as
+        assumptions against the session holding the blasted preamble.
         """
         self.stats.queries += 1
-        if not self.incremental:
-            solver = Solver(conflict_budget=self.solver_budget,
-                            deadline=self._deadline)
-            solver.add(mk_and(*preamble, *goal))
-            outcome = solver.check()
-            self.stats.solver.merge(solver.stats)
-            if outcome == CheckResult.SAT:
-                return solver.model()
-            if outcome == CheckResult.UNKNOWN:
-                # the solver budget (conflicts or deadline) ran out
-                # mid-query: the verdict for this pair is unknown, so the
-                # overall answer must carry the same T.O. marker as a
-                # wall-clock timeout
-                self.timed_out = True
-            return None
-
         canon = simplify(mk_and(*goal)) if goal else TRUE
         pkey = self._pkey_of(preamble)
         key = (pkey, id(canon))
@@ -933,6 +912,9 @@ class RaceChecker:
                                    dict(model.values))
             return model
         if outcome == CheckResult.UNKNOWN:
+            # the solver budget (conflicts or deadline) ran out mid-query:
+            # the verdict for this pair is unknown, so the overall answer
+            # must carry the same T.O. marker as a wall-clock timeout
             self.timed_out = True
             return None
         self._memo.put(key, outcome)

@@ -1,19 +1,20 @@
-"""Differential tests: arena SAT core vs. the legacy reference solver.
+"""Differential tests: the arena SAT core vs. an exhaustive oracle.
 
-The arena core (`repro.smt.sat.SatSolver`) replaced the list-of-lists
-legacy implementation on the hot path; the legacy solver is kept as the
-differential oracle. Property: on any CNF, any assumption set, and any
-incremental add/solve sequence, both cores agree on sat/unsat, and
-every SAT model actually satisfies the formula (models themselves may
-legitimately differ).
+The oracle enumerates all ``2**N_VARS`` assignments (256), so it is a
+complete decision procedure for these formulas and shares no code with
+any CDCL core. Property: on any CNF, any assumption set, and any
+incremental add/solve sequence, ``SatSolver``'s SAT/UNSAT answer equals
+brute-force satisfiability, and every SAT model actually satisfies the
+clauses and the assumptions (models may legitimately differ from the
+oracle's).
 """
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.smt.cnf import CNF
-from repro.smt.sat import SatResult, SatSolver, make_solver, \
-    set_solver_impl
-from repro.smt.sat_legacy import LegacySatSolver
+from repro.smt.sat import SatResult, SatSolver
 
 N_VARS = 8
 
@@ -49,50 +50,51 @@ def _satisfies(model, clause_list, assumptions=()):
         and all(lit_true(a) for a in assumptions)
 
 
+def _brute_force(clause_list, assumptions=()):
+    """SAT or UNSAT by trying every assignment of variables 1..N_VARS."""
+    for bits in itertools.product((False, True), repeat=N_VARS):
+        model = dict(zip(range(1, N_VARS + 1), bits))
+        if _satisfies(model, clause_list, assumptions):
+            return SatResult.SAT
+    return SatResult.UNSAT
+
+
 class TestDifferential:
     @settings(max_examples=120, deadline=None)
     @given(clauses())
     def test_plain_solve_agrees(self, clause_list):
-        arena = SatSolver(_cnf_of(clause_list))
-        legacy = LegacySatSolver(_cnf_of(clause_list))
-        ra, rl = arena.solve(), legacy.solve()
-        assert ra == rl
-        if ra == SatResult.SAT:
-            assert _satisfies(arena.model, clause_list)
-            assert _satisfies(legacy.model, clause_list)
+        solver = SatSolver(_cnf_of(clause_list))
+        result = solver.solve()
+        assert result == _brute_force(clause_list)
+        if result == SatResult.SAT:
+            assert _satisfies(solver.model, clause_list)
 
     @settings(max_examples=120, deadline=None)
     @given(clauses(), assumption_sets())
     def test_assumption_solve_agrees(self, clause_list, assumptions):
-        arena = SatSolver(_cnf_of(clause_list))
-        legacy = LegacySatSolver(_cnf_of(clause_list))
-        ra = arena.solve(assumptions)
-        rl = legacy.solve(assumptions)
-        assert ra == rl
-        if ra == SatResult.SAT:
-            assert _satisfies(arena.model, clause_list, assumptions)
-            assert _satisfies(legacy.model, clause_list, assumptions)
+        solver = SatSolver(_cnf_of(clause_list))
+        result = solver.solve(assumptions)
+        assert result == _brute_force(clause_list, assumptions)
+        if result == SatResult.SAT:
+            assert _satisfies(solver.model, clause_list, assumptions)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(clauses(max_clauses=8),
                               assumption_sets(max_size=3)),
                     min_size=1, max_size=4))
     def test_incremental_sequence_agrees(self, rounds):
-        """Interleaved add_clauses / solve-under-assumptions: the two
-        cores agree at every step of the incremental session."""
-        arena = SatSolver(_cnf_of([]))
-        legacy = LegacySatSolver(_cnf_of([]))
+        """Interleaved add_clauses / solve-under-assumptions: the core
+        agrees with the oracle at every step of the incremental
+        session."""
+        solver = SatSolver(_cnf_of([]))
         grown = []
         for clause_list, assumptions in rounds:
-            arena.add_clauses(clause_list)
-            legacy.add_clauses(clause_list)
+            solver.add_clauses(clause_list)
             grown.extend(clause_list)
-            ra = arena.solve(assumptions)
-            rl = legacy.solve(assumptions)
-            assert ra == rl
-            if ra == SatResult.SAT:
-                assert _satisfies(arena.model, grown, assumptions)
-                assert _satisfies(legacy.model, grown, assumptions)
+            result = solver.solve(assumptions)
+            assert result == _brute_force(grown, assumptions)
+            if result == SatResult.SAT:
+                assert _satisfies(solver.model, grown, assumptions)
 
 
 class TestBatchedImport:
@@ -136,13 +138,3 @@ class TestBatchedImport:
             single.add_clause(cl)
         assert batched.solve() == single.solve()
 
-
-class TestImplSwitch:
-    def test_make_solver_honours_impl(self):
-        cnf = _cnf_of([[1]])
-        prev = set_solver_impl("legacy")
-        try:
-            assert isinstance(make_solver(cnf), LegacySatSolver)
-        finally:
-            set_solver_impl(prev)
-        assert isinstance(make_solver(cnf), SatSolver)

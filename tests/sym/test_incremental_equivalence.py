@@ -4,8 +4,9 @@ The incremental solver path (blast-once preambles + assumption-based
 SAT + query memo) is a pure performance layer: for every kernel the
 set of races, OOBs and assertion failures — including kinds, objects,
 source lines and benign flags — must be identical to the one-shot
-path. Witness *values* may legitimately differ (both are valid models
-of the same formula), so they are excluded from the signature.
+reference (the ``one_shot_solving`` fixture: a fresh solver per query).
+Witness *values* may legitimately differ (both are valid models of the
+same formula), so they are excluded from the signature.
 """
 import pytest
 
@@ -32,9 +33,8 @@ def _kernel(suite, name):
     raise KeyError(f"{suite}/{name}")
 
 
-def _run(suite, name, incremental):
+def _run(suite, name):
     spec = spec_from_kernel(_kernel(suite, name), suite=suite)
-    spec.incremental_solving = incremental
     tool = SESA.from_source(spec.source, spec.kernel_name)
     config = spec.launch_config()
     # this suite studies the solver session path; the static tier would
@@ -54,9 +54,12 @@ def _signature(report):
 
 @pytest.mark.parametrize("suite,name", FAST_KERNELS,
                          ids=[f"{s}/{n}" for s, n in FAST_KERNELS])
-def test_identical_verdicts(suite, name):
-    one_shot = _run(suite, name, incremental=False)
-    incremental = _run(suite, name, incremental=True)
+def test_identical_verdicts(suite, name, one_shot_solving):
+    incremental = _run(suite, name)
+    with one_shot_solving():
+        one_shot = _run(suite, name)
+    # the reference really bypassed the sessions
+    assert one_shot.check_stats.sessions_created == 0
     assert _signature(incremental) == _signature(one_shot)
 
 
@@ -64,7 +67,7 @@ def test_incremental_actually_engages():
     # a racy kernel with several candidate pairs must hit the session
     # path, reuse preambles across pairs, and never fall back to the
     # one-shot SAT constructor per query
-    report = _run("paper", "reduction_racy", incremental=True)
+    report = _run("paper", "reduction_racy")
     cs = report.check_stats
     assert cs is not None
     assert cs.sessions_created >= 1
@@ -73,22 +76,12 @@ def test_incremental_actually_engages():
     assert cs.solver.sat_instances <= cs.solver.by_session
 
 
-def test_one_shot_never_uses_sessions():
-    report = _run("paper", "reduction_racy", incremental=False)
-    cs = report.check_stats
-    assert cs is not None
-    assert cs.sessions_created == 0
-    assert cs.by_memo == 0
-    assert cs.solver.by_session == 0
-    # the one-shot path builds one SAT instance per SAT-layer query
-    assert cs.solver.sat_instances == cs.solver.by_sat
-
-
-def test_witnesses_remain_valid_models():
+def test_witnesses_remain_valid_models(one_shot_solving):
     # equivalence of *verdicts* is the contract; each path's witnesses
     # must still satisfy its own reported race condition
-    for incremental in (False, True):
-        report = _run("paper", "race_example", incremental=incremental)
+    with one_shot_solving():
+        one_shot = _run("paper", "race_example")
+    for report in (one_shot, _run("paper", "race_example")):
         assert report.races
         for race in report.races:
             assert race.witness is not None
