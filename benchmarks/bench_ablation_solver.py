@@ -34,9 +34,9 @@ SLACK = 1.25
 
 def run_suites():
     agg = {"queries": 0, "by_memo": 0, "by_affine": 0,
-           "by_simplifier": 0, "by_interval": 0, "by_sat": 0,
-           "by_session": 0, "sat_instances": 0, "preamble_reuse": 0,
-           "sessions_created": 0, "sat_conflicts": 0,
+           "by_simplifier": 0, "by_interval": 0, "by_range": 0,
+           "by_sat": 0, "by_session": 0, "sat_instances": 0,
+           "preamble_reuse": 0, "sessions_created": 0, "sat_conflicts": 0,
            "learned_clauses": 0}
     start = time.perf_counter()
     for suite in SUITE_NAMES:
@@ -56,6 +56,7 @@ def run_suites():
             agg["sessions_created"] += cs.sessions_created
             agg["by_simplifier"] += cs.solver.by_simplifier
             agg["by_interval"] += cs.solver.by_interval
+            agg["by_range"] += cs.solver.by_range
             agg["by_sat"] += cs.solver.by_sat
             agg["by_session"] += cs.solver.by_session
             agg["sat_instances"] += cs.solver.sat_instances
@@ -69,8 +70,8 @@ def test_sat_core_ceiling(benchmark):
     agg = benchmark.pedantic(run_suites, rounds=1, iterations=1)
 
     cols = ["queries", "by_memo", "by_affine", "by_simplifier",
-            "by_interval", "by_sat", "by_session", "preamble_reuse",
-            "sat_conflicts"]
+            "by_interval", "by_range", "by_sat", "by_session",
+            "preamble_reuse", "sat_conflicts"]
     print_table("Solver-session dispatch (paper + reductions)",
                 cols + ["ms"],
                 [[agg[c] for c in cols] + [f"{agg['ms']:.0f}"]])

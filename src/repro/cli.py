@@ -559,6 +559,7 @@ def _phase_breakdown(cs) -> dict:
             "pair_memo_hits": cs.pair_memo_hits,
             "by_simplifier": cs.solver.by_simplifier,
             "by_interval": cs.solver.by_interval,
+            "by_range": cs.solver.by_range,
             "by_session": cs.solver.by_session,
             "by_sat": cs.solver.by_sat,
             "sat_conflicts": cs.solver.sat_conflicts,
@@ -599,6 +600,7 @@ def _print_phase_breakdown(cs) -> None:
           f"pair-memo {disp['pair_memo_hits']}, "
           f"simplifier {disp['by_simplifier']}, "
           f"interval {disp['by_interval']}, "
+          f"range {disp['by_range']}, "
           f"session {disp['by_session']}, sat {disp['by_sat']}; "
           f"{disp['sat_conflicts']} conflicts)")
     if disp["warm_starts"] or disp["warm_memo_hits"] \

@@ -38,7 +38,10 @@ identical pairs — rampant in unrolled kernels — never touch the SAT
 core at all. UNKNOWN is never memoized.
 
 Every race and stream-pair query takes this one path: simplifier ->
-memo -> session -> :class:`~repro.smt.sat.SatSolver`.
+memo -> session -> :class:`~repro.smt.sat.SatSolver`. Inside the
+session a query passes the simplifier, the interval layer and the
+range-chain layer (:mod:`repro.smt.ranges`) before it reaches the SAT
+instance.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bitblast import BitBlaster, TemplateCache
 from .cnf import CNF
 from .interval import Interval, IntervalAnalysis, derive_bounds
+from .ranges import decide_chain, parse_chain
 from .sat import SatResult, SatSolver
 from .simplify import simplify
 from .solver import CheckResult, Model, SolverStats
@@ -104,9 +108,9 @@ class SolverSession:
     """A persistent solving context for one fixed preamble.
 
     Mirrors the :class:`~repro.smt.solver.Solver` layering (simplify ->
-    trivial -> interval -> SAT) per query, but the SAT layer is a live
-    incremental instance holding the blasted preamble, answered under
-    assumption literals.
+    trivial -> interval -> range chain -> SAT) per query, but the SAT
+    layer is a live incremental instance holding the blasted preamble,
+    answered under assumption literals.
     """
 
     def __init__(self, preamble: Sequence[Term], *,
@@ -136,6 +140,10 @@ class SolverSession:
         self.preamble: List[Term] = [t for t in terms if not t.is_true()]
         self._preamble_bounds: Dict[str, Interval] = \
             derive_bounds(self.preamble) if use_interval else {}
+        #: the preamble parsed for the range-chain layer; None when some
+        #: preamble conjunct does not fit, which rules the layer out
+        self._preamble_chain = parse_chain(self.preamble) \
+            if use_interval else None
 
         self._cnf: Optional[CNF] = None
         self._blaster: Optional[BitBlaster] = None
@@ -186,6 +194,16 @@ class SolverSession:
                    for t in self.preamble + goal):
                 self.stats.by_interval += 1
                 return CheckResult.UNSAT
+
+            if self._preamble_chain is not None:
+                chain = parse_chain(goal, self._preamble_chain)
+                verdict = None if chain is None else \
+                    decide_chain(chain, analysis)
+                if verdict is not None:
+                    self.stats.by_range += 1
+                    satisfiable, values = verdict
+                    return self._accept(goal, values) if satisfiable \
+                        else CheckResult.UNSAT
 
         return self._check_sat(goal)
 
@@ -354,19 +372,24 @@ class SolverSession:
         if result == SatResult.UNSAT:
             outcome = CheckResult.UNSAT
         elif result == SatResult.SAT:
-            model = self._extract_model(goal, sat.model)
-            if self.validate_models:
-                self._validate(goal, model)
-            self._model = model
-            outcome = CheckResult.SAT
+            outcome = self._accept(
+                goal, self._extract_values(goal, sat.model))
 
         if self._live_queries >= self.max_live_queries or \
                 len(sat.clauses) + len(sat.learnts) >= self.max_live_clauses:
             self._retire()
         return outcome
 
-    def _extract_model(self, goal: List[Term],
-                       sat_model: Dict[int, bool]) -> Model:
+    def _accept(self, goal: List[Term], values: Dict[str, int]) -> str:
+        """Answer SAT with a validated model."""
+        model = Model(values)
+        if self.validate_models:
+            self._validate(goal, model)
+        self._model = model
+        return CheckResult.SAT
+
+    def _extract_values(self, goal: List[Term],
+                        sat_model: Dict[int, bool]) -> Dict[str, int]:
         # restrict to the variables of THIS query: the blaster knows
         # every variable any query ever mentioned, and values for the
         # others would leak junk into race witnesses
@@ -378,7 +401,7 @@ class SolverSession:
                 values[name] = blaster.extract_value(name, sat_model)
             elif name in blaster.bool_vars:
                 values[name] = int(blaster.extract_bool(name, sat_model))
-        return Model(values)
+        return values
 
     def _validate(self, goal: List[Term], model: Model) -> None:
         assignment = dict(model.values)

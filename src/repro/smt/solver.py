@@ -9,11 +9,15 @@ SAT core:
 3. **Interval pre-filter**: derive per-variable bounds from the conjuncts
    and abstractly evaluate — many race queries (disjoint strides) die here
    without bit-blasting.
-4. **Model reuse**: evaluate the goal under the last few SAT models this
+4. **Model reuse**: evaluate the goal under the last few models this
    solver produced, newest first (KLEE's counterexample cache). A model
    that makes every conjunct true answers SAT without bit-blasting; this
    layer never answers UNSAT.
-5. **Bit-blast + CDCL SAT** with an optional conflict budget.
+5. **Range chains**: a conjunction of range tests over one shared base
+   term (grid-stride loop exits, out-of-bounds tests) is decided by
+   intersecting intervals on the base (:mod:`repro.smt.ranges`). It
+   works from the interval layer's analysis, so it runs only with it.
+6. **Bit-blast + CDCL SAT** with an optional conflict budget.
 
 Models are validated against the concrete evaluator before being returned,
 so a solver bug surfaces as a loud exception instead of a bogus witness.
@@ -27,6 +31,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 from .bitblast import BitBlaster
 from .cnf import CNF
 from .interval import IntervalAnalysis, derive_bounds
+from .ranges import decide_chain, parse_chain
 from .sat import SatResult, SatSolver
 from .simplify import simplify
 from .sorts import BOOL, BVSort
@@ -68,7 +73,8 @@ class SolverStats:
 
     ``by_sat`` counts queries that required a *fresh* bitblast + SAT
     instance (the one-shot path); ``by_reuse`` counts queries answered
-    by an earlier model of the same solver; ``by_session`` counts
+    by an earlier model of the same solver; ``by_range`` counts queries
+    decided on the word level as range chains; ``by_session`` counts
     queries answered by assumption on a live incremental instance.
     ``sat_instances`` is the number of SAT solver constructions either
     way — the work the blast-once preamble amortises.
@@ -79,6 +85,7 @@ class SolverStats:
     by_interval: int = 0
     by_sat: int = 0
     by_reuse: int = 0
+    by_range: int = 0
     by_session: int = 0
     sat_instances: int = 0
     sat_conflicts: int = 0
@@ -90,18 +97,14 @@ class SolverStats:
     template_hits: int = 0
 
     def merge(self, other: "SolverStats") -> None:
-        self.queries += other.queries
-        self.by_simplifier += other.by_simplifier
-        self.by_interval += other.by_interval
-        self.by_sat += other.by_sat
-        self.by_reuse += other.by_reuse
-        self.by_session += other.by_session
-        self.sat_instances += other.sat_instances
-        self.sat_conflicts += other.sat_conflicts
-        self.sat_decisions += other.sat_decisions
-        self.sat_propagations += other.sat_propagations
-        self.learned_clauses += other.learned_clauses
-        self.template_hits += other.template_hits
+        for f in self.__dataclass_fields__:
+            setattr(self, f, getattr(self, f) + getattr(other, f))
+
+    def answered(self) -> int:
+        """Queries answered by any layer: each query is dispatched to
+        exactly one, so this equals :attr:`queries`."""
+        return sum(getattr(self, f) for f in self.__dataclass_fields__
+                   if f.startswith("by_"))
 
     def copy(self) -> "SolverStats":
         from dataclasses import replace
@@ -116,7 +119,7 @@ class SolverStats:
         return out
 
 
-#: SAT models a :class:`Solver` keeps for the reuse layer
+#: models a :class:`Solver` keeps for the reuse layer
 MODEL_HISTORY = 8
 
 
@@ -136,7 +139,7 @@ class Solver:
         self.validate_models = validate_models
         self.stats = SolverStats()
         self._model: Optional[Model] = None
-        #: values of the last MODEL_HISTORY SAT-core models, newest first
+        #: values of the last MODEL_HISTORY models, newest first
         self._history: Deque[Dict[str, int]] = deque(maxlen=MODEL_HISTORY)
 
     # ------------------------------------------------------------------
@@ -172,6 +175,7 @@ class Solver:
             self._model = Model({})
             return CheckResult.SAT
 
+        analysis = None
         if self.use_interval:
             bounds = derive_bounds(goal)
             analysis = IntervalAnalysis(bounds)
@@ -184,6 +188,15 @@ class Solver:
             self.stats.by_reuse += 1
             self._model = model
             return CheckResult.SAT
+        if analysis is not None:
+            chain = parse_chain(goal)
+            verdict = None if chain is None else \
+                decide_chain(chain, analysis)
+            if verdict is not None:
+                self.stats.by_range += 1
+                satisfiable, values = verdict
+                return self._accept(goal, values) if satisfiable \
+                    else CheckResult.UNSAT
         return self._check_sat(goal)
 
     def model(self) -> Model:
@@ -232,8 +245,12 @@ class Solver:
             values[name] = blaster.extract_value(name, sat.model)
         for name in blaster.bool_vars:
             values[name] = int(blaster.extract_bool(name, sat.model))
-        model = Model(values)
+        return self._accept(goal, values)
 
+    def _accept(self, goal: List[Term], values: Dict[str, int]) -> str:
+        """Answer SAT with a validated model, kept for the reuse
+        layer."""
+        model = Model(values)
         if self.validate_models:
             self._validate(goal, model)
         self._model = model

@@ -489,8 +489,9 @@ class StaticAdjudicator:
                 n for n in fv if n in rc._summary_bounds))
         tuples, d = self._box(names)
         cond, off = self._eval_terms([access.cond, access.offset], names)
-        limit = obj.size_bytes - access.size \
-            if obj.size_bytes >= access.size else 0
+        # negative when the access is wider than the object: then every
+        # guard-true row overruns it
+        limit = obj.size_bytes - access.size
         for i in range(d):
             if cond[i] and off[i] > limit:
                 return {f"{n}!1": v for n, v in zip(names, tuples[i])}

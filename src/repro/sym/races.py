@@ -1154,10 +1154,11 @@ class RaceChecker:
                 if iv.hi <= obj.size_bytes - access.size:
                     self.stats.oob_pruned += 1
                     continue
-            addr = self._inst(access.offset, 1)
-            limit = mk_bv(obj.size_bytes - access.size, 32) \
-                if obj.size_bytes >= access.size else mk_bv(0, 32)
-            past_end = mk_not(mk_ule(addr, limit))
+            # an access wider than its object overruns it at any offset
+            limit = obj.size_bytes - access.size
+            past_end = mk_not(mk_ule(self._inst(access.offset, 1),
+                                     mk_bv(limit, 32))) \
+                if limit >= 0 else TRUE
             model = self._solve([self._inst(access.cond, 1), past_end],
                                 self._single_preamble())
             if model is not None:

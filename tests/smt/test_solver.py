@@ -256,6 +256,4 @@ class TestSolverLayers:
                 assert evaluate(mk_and(*conjuncts), assignment) is True
             else:
                 assert reusing.stats.by_reuse == before
-        s = reusing.stats
-        assert s.by_simplifier + s.by_interval + s.by_reuse + s.by_sat \
-            == s.queries
+        assert reusing.stats.answered() == reusing.stats.queries

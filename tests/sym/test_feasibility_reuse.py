@@ -5,8 +5,9 @@ satisfying model when one fits (``Solver`` model reuse). Reuse only
 ever answers SAT, with a model the evaluator confirmed, so every flow,
 split and access set must be the same as with an empty model history.
 Each kernel runs twice in both executor modes: as shipped, and with
-``MODEL_HISTORY`` patched to 0 so every check the simplifier and the
-interval layer leave open reaches the SAT core.
+``MODEL_HISTORY`` patched to 0 and the range-chain layer switched off,
+so every check the simplifier and the interval layer leave open reaches
+the SAT core.
 """
 import itertools
 
@@ -70,8 +71,7 @@ def _access_sets(result):
 
 
 def _dispatched_once(stats):
-    return stats.by_simplifier + stats.by_interval + stats.by_reuse \
-        + stats.by_session + stats.by_sat == stats.queries
+    return stats.answered() == stats.queries
 
 
 @pytest.mark.parametrize("mode", ["sesa", "gkleep"])
@@ -81,6 +81,8 @@ def test_reuse_keeps_exploration_identical(name, kernel, overrides, mode,
                                            monkeypatch):
     shipped = _execute(kernel, overrides, mode, monkeypatch)
     monkeypatch.setattr(solver_mod, "MODEL_HISTORY", 0)
+    monkeypatch.setattr(solver_mod, "decide_chain",
+                        lambda chain, analysis: None)
     cold = _execute(kernel, overrides, mode, monkeypatch)
 
     assert shipped.max_flows == cold.max_flows
@@ -92,9 +94,10 @@ def test_reuse_keeps_exploration_identical(name, kernel, overrides, mode,
 
     feas, cold_feas = shipped.feasibility, cold.feasibility
     assert feas.queries == cold_feas.queries
-    assert cold_feas.by_reuse == 0
-    # reuse only takes over checks that would otherwise be solved SAT
-    assert feas.by_sat + feas.by_reuse == cold_feas.by_sat
+    assert cold_feas.by_reuse == cold_feas.by_range == 0
+    # reuse and the range layer only take over checks that would
+    # otherwise reach the SAT core
+    assert feas.by_sat + feas.by_reuse + feas.by_range == cold_feas.by_sat
     checker_feas = RaceChecker(shipped).stats.feasibility
     assert checker_feas == feas
     assert _dispatched_once(feas) and _dispatched_once(checker_feas)

@@ -219,6 +219,21 @@ __global__ void k() { s[threadIdx.x] = 1; }
 """, oob=True)  # 64 threads, 32 slots
         assert report.has_oob
 
+    @pytest.mark.parametrize("static_tier", [True, False])
+    def test_access_wider_than_object_at_offset_zero(self, static_tier):
+        # a 4-byte store into a 2-byte object overruns it even at
+        # offset 0, so both tiers must report the lone thread
+        report = check("""
+__global__ void k(int *out) {
+  __shared__ char s[2];
+  int *p = (int *)s;
+  p[threadIdx.x] = 1;
+}""", block=1, oob=True, static_tier=static_tier)
+        assert report.check_stats.tier == \
+            ("static" if static_tier else "parametric")
+        assert len(report.oobs) == 1
+        assert report.oobs[0].witness.thread1 == (0, 0, 0)
+
 
 class TestWitnesses:
     def test_witness_satisfies_race(self):

@@ -164,8 +164,7 @@ class TestSharedSessionStatsAudit:
             # every query dispatched exactly once: a double-merge of
             # session-lifetime stats would push by_session past queries
             for s in (checker.stats.solver, checker.stats.feasibility):
-                assert s.by_simplifier + s.by_interval + s.by_reuse \
-                    + s.by_session + s.by_sat == s.queries
+                assert s.answered() == s.queries
         # both checkers solved the same queries against the same pool
         assert c2.stats.solver.by_session <= c1.stats.solver.by_session
         assert len(c2.races) == len(c1.races)

@@ -1,8 +1,8 @@
 """The three genuine Parboil bugs (Figs. 8-10), witness-level checks.
 
-The fast variants run scaled configurations that preserve each bug; the
-``--runslow`` variants use the paper's exact constants and pin the
-witness to the paper's reported region.
+The fast variants run scaled configurations that preserve each bug;
+``test_histo_final_exact`` uses the paper's exact constants and pins
+the witness to the paper's reported region.
 """
 import pytest
 
@@ -83,12 +83,19 @@ class TestHistoFinalFig9:
         k = (limit - base + stride - 1) // stride
         assert base + k * stride >= limit  # an iteration past the end exists
 
-    @pytest.mark.slow
     def test_histo_final_exact(self):
-        """The paper's exact constants: OOB in the ~47th stride."""
+        """The paper's exact constants: OOB in the ~47th stride. Every
+        query that outlives the interval layer and model reuse is a
+        grid-stride range chain on ``tid.x + (bid.x << 9)``, so none
+        reaches the SAT core."""
         report = self._check(scale=1)
+        cs = report.check_stats
+        assert cs.solver.by_range == 2
+        assert cs.solver.sat_instances == 0
+        assert cs.feasibility.sat_instances == 0
         assert report.has_oob
         oob = report.oobs[0]
+        assert oob.obj_name == "global_histo"
         tid = oob.witness.thread1[0]
         bid = oob.witness.block1[0]
         # solve for the iteration index of the witness thread
