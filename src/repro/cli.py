@@ -621,6 +621,7 @@ _PROFILE_BUCKETS = (
     ("/smt/subst", "simplify"),
     ("/smt/", "smt-other"),
     ("/sym/races", "race-check"),
+    ("/sym/pairs", "race-check"),
     ("/sym/", "symbolic-exec"),
     ("/frontend/", "frontend"),
     ("/ir", "frontend"),

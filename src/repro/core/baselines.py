@@ -124,8 +124,9 @@ class GKLEE:
             for which, (t, b) in ((1, (t1, b1)), (2, (t2, b2))):
                 for axis, i in (("x", 0), ("y", 1), ("z", 2)):
                     for prefix, vec in (("tid", t), ("bid", b)):
-                        var = (checker._vars1 if which == 1
-                               else checker._vars2).get(f"{prefix}.{axis}")
+                        side = checker._side1 if which == 1 \
+                            else checker._side2
+                        var = side.vars.get(f"{prefix}.{axis}")
                         if var is not None:
                             pins.append(mk_eq(var, mk_bv(vec[i], 32)))
             checker.extra_assumptions = pins

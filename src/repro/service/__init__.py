@@ -29,7 +29,9 @@ Typical use::
     for job in batch.jobs:
         print(job.job_id, job.status, job.issue_tags())
 """
-from .cache import ResultCache, cache_key, canonical_form, trace_hit_rate
+from .cache import (
+    ResultCache, cache_key, canonical_form, content_key, trace_hit_rate,
+)
 from .corpus import (
     SUITES, builtin_jobs, directory_jobs, file_job, load_corpus,
     spec_from_kernel, stream_jobs,
@@ -50,8 +52,9 @@ __all__ = [
     "BatchResult", "JobResult", "JobSpec", "JobState", "JobStatus",
     "JobValidationError", "ResultCache", "SUITES", "Scheduler",
     "Telemetry", "builtin_jobs", "cache_key", "canonical_form",
-    "directory_jobs", "execute_job", "file_job", "load_corpus",
-    "JOB_KINDS", "run_batch", "run_job_inline", "run_job_isolated",
+    "content_key", "directory_jobs", "execute_job", "file_job",
+    "load_corpus", "JOB_KINDS", "run_batch", "run_job_inline",
+    "run_job_isolated",
     "spec_from_kernel", "stream_jobs", "trace_hit_rate",
     "SwarmPlanError", "plan_shard_specs", "run_portfolio",
     "run_swarm_batch", "run_swarm_check", "swarm_cache_key",

@@ -8,7 +8,9 @@ source lines, so any edit that moves an access must miss, while edits
 that move no instruction (CRLF line endings, a comment after the last
 line) still hit. The checker code enters as
 :func:`repro.code_digest`, a digest of the package sources, so an
-entry written by other analysis code is never served.
+entry written by other analysis code is never served. Every record key
+stored here — job, swarm, stream launch and launch pair — comes from
+the one :func:`content_key`, tagged with its kind.
 
 Computing the canonical form costs a compile, so :func:`cache_key`
 memoises it per process: a bounded LRU maps ``sha256(source)`` to
@@ -82,14 +84,21 @@ def form_digest(source: str) -> str:
     return digest
 
 
+def content_key(kind: str, **material) -> str:
+    """The one content-key scheme: SHA-256 over the sorted JSON of
+    *material*, tagged with its *kind* and :func:`repro.code_digest`.
+    Keys of different kinds never collide, even on equal material, so
+    every kind can share one :class:`ResultCache`."""
+    blob = json.dumps(dict(material, kind=kind, code=code_digest()),
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def cache_key(spec: JobSpec) -> str:
-    """SHA-256 over (canonical form, config fingerprint, engine, code)."""
-    material = json.dumps({
-        "form": form_digest(spec.source),
-        "config": spec.config_fingerprint(),
-        "code": code_digest(),
-    }, sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    """Key of one job's verdict: (canonical form, config fingerprint
+    with the engine, checker code)."""
+    return content_key("job", form=form_digest(spec.source),
+                       config=spec.config_fingerprint())
 
 
 def is_verdict_entry(payload: dict) -> bool:

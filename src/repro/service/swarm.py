@@ -22,19 +22,16 @@ cleanly safe, unknown otherwise (with the unresolved shards listed).
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing as mp
 from multiprocessing import connection as mp_connection
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import code_digest
 from ..sym.swarm import (
     RACY, SAFE, UNKNOWN, ShardOutcome, ShardSelector,
     merge_shard_outcomes, plan_partitions, validate_partition,
 )
-from .cache import ResultCache, cache_key, is_verdict_entry
+from .cache import ResultCache, cache_key, content_key, is_verdict_entry
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import Runner, _child_entry, execute_job
 from .scheduler import BatchResult, Scheduler
@@ -62,11 +59,7 @@ def swarm_cache_key(spec: JobSpec, num_shards: int) -> str:
     """Cache key for the *merged* parent verdict. Derived from the
     monolithic key plus the shard count — merged results never share
     entries with monolithic verdicts (witnesses may differ)."""
-    material = json.dumps({
-        "parent": cache_key(spec), "swarm": num_shards,
-        "code": code_digest(),
-    }, sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return content_key("swarm", parent=cache_key(spec), swarm=num_shards)
 
 
 def plan_shard_specs(spec: JobSpec, num_shards: int,

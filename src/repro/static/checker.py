@@ -7,11 +7,12 @@ the *bounded, concrete* thread box (``tid.* < blockDim``,
 For a pure term (no uninterpreted application, no free symbolic
 input), exhaustive evaluation over that box decides the engine's SAT
 query *exactly* — same satisfiability, never an approximation. The
-adjudicator walks the engine's own candidate-pair enumeration
-(:meth:`RaceChecker._iter_candidate_pairs`), discharges each pair with
-the engine's affine fast path or by vectorised enumeration, and emits
-races through the engine's own :meth:`_emit_race`, so a statically
-resolved kernel carries a report the full engine could have produced.
+adjudicator runs the engine's own :class:`RaceChecker` pair walk — its
+candidate-pair enumeration, pair memo, affine fast path and report
+emission — with :meth:`StaticAdjudicator._enumerate`, a vectorised
+enumeration, as the discharge step in place of the solve. A statically
+resolved kernel therefore carries a report the full engine could have
+produced.
 
 Anything outside the decidable fragment — a free non-thread variable
 (symbolic scalar input), an uninterpreted application, or a domain too
@@ -33,14 +34,12 @@ from ..smt.terms import Op, Term, free_vars
 from ..sym.access import Access
 from ..sym.executor import ExecutionResult
 from ..sym.memory import MemoryObject, contains_havoc
-from ..sym.races import _MISS, OOBReport, RaceChecker
+from ..sym.races import OOBReport, RaceChecker
 
 #: per-side enumeration domain cap (product of variable extents)
 ENUM_CAP = 4096
 #: total (i, j) pair iterations allowed per pair adjudication
 SCAN_CAP = 1 << 16
-
-_AXIS = {"x": 0, "y": 1, "z": 2}
 
 
 class StaticUnknown(Exception):
@@ -169,33 +168,27 @@ def _veval(roots: List[Term], columns: Dict[str, list], d: int,
 class StaticAdjudicator:
     """Drives a solver-less :class:`RaceChecker` over one walked record.
 
-    Reuses the engine's pair enumeration, affine fast path, pair memo,
-    interval OOB pruning, report emission and stats counters — the only
-    thing replaced is the SAT query itself, which becomes an exhaustive
-    evaluation over the thread box. ``stats.queries`` staying 0 is the
-    visible signature of a statically resolved kernel.
+    The checker's own pair walk runs unchanged — enumeration, pair
+    memo, affine fast path, report emission and stats counters — with
+    :meth:`_enumerate` as its discharge step in place of the solve.
+    ``stats.queries`` staying 0 is the visible signature of a
+    statically resolved kernel.
     """
 
     def __init__(self, result: ExecutionResult,
                  max_reports: int = 16) -> None:
         self.checker = RaceChecker(result, max_reports=max_reports)
+        # no artifact store: warm starts accelerate solving, and there
+        # is nothing to solve
+        self.checker._store = None
         self.pairs_checked = 0
         self.pairs_discharged = 0
         rc = self.checker
-        self._extents: Dict[str, int] = {}
-        for name in rc.env.thread_vars():
-            i = _AXIS[name.split(".")[1]]
-            self._extents[name] = (rc.config.block_dim[i]
-                                   if name.startswith("tid")
-                                   else rc.config.grid_dim[i])
+        self._extents: Dict[str, int] = rc._side1.extents
         self._box_cache: Dict[tuple, tuple] = {}
         self._col_cache: Dict[tuple, Dict[str, list]] = {}
         #: per-box node-id → column vector cache (see :func:`_veval`)
         self._node_cache: Dict[tuple, Dict[int, object]] = {}
-        #: affine-fast-path verdicts keyed by the inputs the engine's
-        #: check actually reads: the interned offset pair, access size
-        #: and memory object (everything else is fixed per run)
-        self._affine_cache: Dict[tuple, bool] = {}
         self._fv_cache: Dict[tuple, Dict[str, Term]] = {}
         #: address-bucket maps, one per (access terms, box) — each
         #: access participates in many pairs
@@ -207,11 +200,14 @@ class StaticAdjudicator:
         """Mirror of :meth:`RaceChecker.check` minus solver/timeout
         machinery (the tier bails on time budgets before walking)."""
         rc = self.checker
-        pairs = rc._iter_candidate_pairs()
-        for a1, a2, same_bi in pairs:
+        for a1, a2, same_bi in rc._iter_candidate_pairs():
             if len(rc.races) >= rc.max_reports:
                 break
-            self._pair(a1, a2, same_bi)
+            self.pairs_checked += 1
+            races = len(rc.races)
+            rc._check_pair(a1, a2, same_bi, self._enumerate)
+            if len(rc.races) == races:
+                self.pairs_discharged += 1
         if rc.config.check_oob:
             self._oob()
         # assertions: the walker bails on __assert, so none exist here
@@ -219,55 +215,12 @@ class StaticAdjudicator:
 
     # -- race pairs ----------------------------------------------------
 
-    def _pair(self, a1: Access, a2: Access, same_bi: bool) -> None:
-        """Mirror of :meth:`RaceChecker._check_pair` with enumeration in
-        place of ``_solve`` (and no cross-run persistence — warm starts
-        accelerate solving, and there is nothing to solve)."""
-        rc = self.checker
-        rc.stats.pairs_considered += 1
-        self.pairs_checked += 1
-        obj = a1.obj
-        memo_key = None
-        if rc.pruning:
-            memo_key = rc._pair_key(a1, a2, same_bi)
-            hit = rc._pair_memo.get(memo_key, _MISS)
-            if hit is not _MISS:
-                rc.stats.pair_memo_hits += 1
-                if hit is not None:
-                    values, benign = hit
-                    rc._emit_race(a1, a2, Model(dict(values)), benign)
-                else:
-                    self.pairs_discharged += 1
-                return
-        akey = (id(a1.offset), id(a2.offset), a1.size, a2.size, id(obj))
-        affine = self._affine_cache.get(akey)
-        if affine is None:
-            affine = rc._affine_no_overlap(a1, a2, obj)
-            self._affine_cache[akey] = affine
-        if affine:
-            rc.stats.by_affine += 1
-            if memo_key is not None:
-                rc._pair_memo[memo_key] = None
-            self.pairs_discharged += 1
-            return
-        verdict = self._enumerate(a1, a2, same_bi, obj)
-        if verdict is None:
-            if memo_key is not None:
-                rc._pair_memo[memo_key] = None
-            self.pairs_discharged += 1
-            return
-        values, benign = verdict
-        if memo_key is not None:
-            rc._pair_memo[memo_key] = (dict(values), benign)
-        rc._emit_race(a1, a2, Model(dict(values)), benign)
-
-    def _enumerate(self, a1: Access, a2: Access, same_bi: bool,
-                   obj: MemoryObject
-                   ) -> Optional[Tuple[Dict[str, int], bool]]:
+    def _enumerate(self, a1: Access, a2: Access, same_bi: bool
+                   ) -> Optional[Tuple[Model, bool]]:
         """Decide the pair's race query by exhaustive evaluation.
 
         Returns ``None`` (provably disjoint under thread distinctness)
-        or ``(witness values, benign)``; raises :class:`StaticUnknown`
+        or ``(witness model, benign)``; raises :class:`StaticUnknown`
         outside the decidable fragment. Semantics mirrored exactly:
         preamble bounds become the enumeration box, ``_different_thread``
         / the cross-interval ``not same_block`` conjunct become the
@@ -276,6 +229,7 @@ class StaticAdjudicator:
         over the colliding assignments.
         """
         rc = self.checker
+        obj = a1.obj
         # W/W pairs with pure recorded values qualify for the benign
         # classification, whose query ranges over the value terms' own
         # thread variables too — fold them into the enumeration so
@@ -412,7 +366,7 @@ class StaticAdjudicator:
             values[f"{n}!2"] = v
         self._mark_residual(values, tuples1[i], tuples2[j], mode,
                             occ_tid, occ_bid, n_occ, occurring)
-        return values, benign
+        return Model(values), benign
 
     def _mark_residual(self, values: Dict[str, int], t1: tuple, t2: tuple,
                        mode: str, occ_tid: list, occ_bid: list,
@@ -462,7 +416,7 @@ class StaticAdjudicator:
                 continue
             seen.add(key)
             if rc.pruning and obj.size_bytes >= access.size:
-                iv = rc._ia.interval_of(access.offset)
+                iv = rc._side1.ia.interval_of(access.offset)
                 if iv.hi <= obj.size_bytes - access.size:
                     rc.stats.oob_pruned += 1
                     continue

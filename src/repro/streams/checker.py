@@ -13,22 +13,21 @@ static tier, pruning, incremental sessions and warm start all apply —
 producing the per-launch verdict *and* the global-memory access record
 the cross-launch pass consumes. Each launch's accesses are then keyed
 by the *program buffer* its pointer parameters are bound to, and every
-HB-unordered launch pair is checked buffer by buffer with the same
-affine/interval/solver stack :mod:`repro.sym.races` uses:
+HB-unordered launch pair is checked buffer by buffer through the pair
+steps the intra-launch checker uses (:mod:`repro.sym.pairs`), with one
+:class:`~repro.sym.pairs.PairSide` per launch:
 
-* the two sides are instantiated with per-launch substitutions
-  (``tid.x`` → ``tid.x!L3``), each bounded by its own launch extents —
-  no different-thread constraint, because threads of distinct launches
+* each side is instantiated with its launch's suffix (``tid.x`` →
+  ``tid.x!L3``) and bounded by its own launch extents — no
+  different-thread constraint, because threads of distinct launches
   are always distinct actors (even equal coordinates race);
 * interval footprints and affine stride separation prune provably
-  disjoint pairs before any solving (both are sound for independent
-  sides);
-* surviving pairs are solved on one incremental
-  :class:`~repro.smt.session.SolverSession` per launch pair (the
-  preamble is just the two bound sets), with the cross-query memo;
-* atomic-vs-atomic pairs are skipped and write/write collisions that
-  provably store equal values are classified benign, mirroring the
-  intra-launch rules.
+  disjoint pairs before any solving;
+* surviving pairs go through the shared memo → session solve (the
+  preamble is just the two bound sets) and the shared benign
+  classification;
+* atomic-vs-atomic pairs are skipped, and one race is reported per
+  ``(buffer, line, line, kind)``.
 
 Caching is per *launch*, not per program: a launch's fingerprint hashes
 only its own kernel's IR and source locations (plus module globals), its
@@ -48,36 +47,22 @@ does, a witness may name infeasible input contents).
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ir
-from .. import code_digest
 from ..core.sesa import SESA
 from ..frontend import compile_source
 from ..ir import function_to_str, instruction_locs
 from ..passes import standard_pipeline
-from ..service.cache import is_verdict_entry
-from ..smt import (
-    CheckResult, Model, QueryMemo, SolverSession, Substitution,
-    TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
-)
-from ..smt.affine import affine_decompose, stride_separated
-from ..smt.interval import Interval, IntervalAnalysis, byte_footprint
-from ..smt.terms import mk_add
+from ..service.cache import content_key, is_verdict_entry
+from ..smt import SolverStats
 from ..sym import Executor, LaunchConfig
 from ..sym.access import Access, AccessKind
-from ..sym.memory import contains_havoc
+from ..sym.pairs import PairDischarge, PairSide, race_kind, witness_inputs
 from .hb import HappensBefore
 from .program import Launch, StreamProgram
-
-#: cache-miss sentinel (None is a legitimate cached value)
-_MISS = object()
-
-_AXIS = {"x": 0, "y": 1, "z": 2}
 
 
 def launch_fingerprint(module: ir.Module, launch: Launch,
@@ -96,21 +81,18 @@ def launch_fingerprint(module: ir.Module, launch: Launch,
     globals_slice = [f"{gv.name} {gv.storage_type!r} {gv.space}"
                      for gv in module.globals.values()]
     ir_slice = "\n".join(globals_slice + [function_to_str(kernel)])
-    material = json.dumps({
-        "kind": "stream_launch",
-        "ir": ir_slice,
-        "locs": instruction_locs(kernel),
-        "kernel": launch.kernel,
-        "grid_dim": list(config.grid_dim),
-        "block_dim": list(config.block_dim),
-        "scalar_values": sorted(config.scalar_values.items()),
-        "array_sizes": sorted(config.array_sizes.items()),
-        "check_oob": config.check_oob,
-        "pair_pruning": config.pair_pruning,
-        "static_tier": config.static_tier,
-        "code": code_digest(),
-    }, sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return content_key(
+        "stream_launch",
+        ir=ir_slice,
+        locs=instruction_locs(kernel),
+        kernel=launch.kernel,
+        grid_dim=list(config.grid_dim),
+        block_dim=list(config.block_dim),
+        scalar_values=sorted(config.scalar_values.items()),
+        array_sizes=sorted(config.array_sizes.items()),
+        check_oob=config.check_oob,
+        pair_pruning=config.pair_pruning,
+        static_tier=config.static_tier)
 
 
 @dataclass
@@ -194,10 +176,13 @@ class StreamStats:
     queries: int = 0               # SAT queries issued
     by_memo: int = 0               # queries answered from the memo
     sessions_created: int = 0      # one per solved launch pair
+    preamble_reuse: int = 0        # queries served by an existing session
     inter_launch_races: int = 0
     execute_seconds: float = 0.0   # per-launch pipeline wall clock
     solve_seconds: float = 0.0     # inter-launch solving wall clock
     elapsed_seconds: float = 0.0
+    #: per-query solver dispatch counters, merged across all queries
+    solver: SolverStats = field(default_factory=SolverStats)
 
 
 @dataclass
@@ -337,49 +322,17 @@ class StreamReport:
         return "\n".join(lines)
 
 
-class _LaunchSide:
-    """One launch's instantiated view for cross-launch solving: its
-    access record keyed by program buffer, the per-side substitution
-    (``tid.x`` → ``tid.x!L<i>``), its bound conjuncts, and its own
-    interval analysis for pruning."""
+class _LaunchSide(PairSide):
+    """One launch's side of its cross-launch pairs: a :class:`PairSide`
+    with suffix ``!L<i>``, bounded by this launch's own extents, plus
+    the launch's global accesses keyed by the program buffer its
+    pointer parameters are bound to."""
 
-    def __init__(self, index: int, launch: Launch,
-                 config: LaunchConfig, result) -> None:
+    def __init__(self, index: int, launch: Launch, result) -> None:
+        super().__init__(result, f"!L{index}")
         self.index = index
         self.launch = launch
-        self.config = config
-        suffix = f"!L{index}"
-        theta: Dict[Term, Term] = {}
-        self.vars: Dict[str, Term] = {}
-        self.bounds: List[Term] = []
-        ia_bounds: Dict[str, Interval] = {}
-        for name, var in result.env.thread_vars().items():
-            fresh = mk_bv_var(f"{name}{suffix}", 32)
-            theta[var] = fresh
-            self.vars[name] = fresh
-            i = _AXIS[name.split(".")[1]]
-            extent = config.block_dim[i] if name.startswith("tid") \
-                else config.grid_dim[i]
-            self.bounds.append(mk_ult(fresh, mk_bv(extent, 32)))
-            ia_bounds[name] = Interval(0, max(0, extent - 1), 32)
-        # summary index variables: per-side copies, like the thread
-        # coordinates (their k < count bounds ride in the access guards)
-        for bi_set in result.bi_access_sets:
-            for access in bi_set:
-                if access.summary is not None:
-                    k = access.summary.index_var
-                    if k not in theta:
-                        fresh = mk_bv_var(f"{k.name}{suffix}", k.width)
-                        theta[k] = fresh
-                        self.vars[k.name] = fresh
-                        ia_bounds[k.name] = Interval(
-                            0, access.summary.count - 1, k.width)
-        self.subst = Substitution(theta)
-        self._ia = IntervalAnalysis(ia_bounds)
-        self._foot_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
-        self._affine_cache: Dict[int, object] = {}
-        # global accesses grouped by the program buffer the launch
-        # binds them to (deduped: summaries repeat across intervals)
+        # deduped: summaries repeat across intervals
         self.by_buffer: Dict[str, List[Access]] = {}
         seen: Set[int] = set()
         for access in result.all_accesses():
@@ -392,32 +345,15 @@ class _LaunchSide:
             seen.add(id(access))
             self.by_buffer.setdefault(buf, []).append(access)
 
-    def footprint(self, access: Access) -> Optional[Tuple[int, int]]:
-        """Sound byte range under *this* launch's variable bounds."""
-        key = (id(access.offset), access.size)
-        hit = self._foot_cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        foot = byte_footprint(self._ia.interval_of(access.offset),
-                              access.size)
-        self._foot_cache[key] = foot
-        return foot
 
-    def affine_of(self, offset: Term):
-        form = self._affine_cache.get(id(offset), _MISS)
-        if form is _MISS:
-            form = affine_decompose(offset)
-            self._affine_cache[id(offset)] = form
-        return form
-
-
-class StreamChecker:
+class StreamChecker(PairDischarge):
     """Checks one :class:`StreamProgram` end to end.
 
     Per-launch verdicts come from :meth:`SESA.check` (cache-replayed
     when a :class:`~repro.service.cache.ResultCache` is supplied);
-    inter-launch pairs are solved here. :meth:`check` returns the
-    merged :class:`StreamReport`.
+    inter-launch pairs go through the shared pair steps of
+    :class:`~repro.sym.pairs.PairDischarge`, one side per launch.
+    :meth:`check` returns the merged :class:`StreamReport`.
     """
 
     def __init__(self, program: StreamProgram,
@@ -428,6 +364,7 @@ class StreamChecker:
                  solver_cache_dir: Optional[str] = None,
                  solver_budget: Optional[int] = 200_000,
                  max_reports: int = 16) -> None:
+        super().__init__(solver_budget)
         self.program = program
         self.cache = cache
         if telemetry is None:
@@ -439,7 +376,6 @@ class StreamChecker:
         self.static_tier = static_tier
         self.check_oob = check_oob
         self.solver_cache_dir = solver_cache_dir
-        self.solver_budget = solver_budget
         self.max_reports = max_reports
         self.module = compile_source(program.source)
         standard_pipeline().run(self.module)
@@ -447,10 +383,6 @@ class StreamChecker:
         self._sesa: Dict[str, SESA] = {}
         self.stats = StreamStats()
         self.warnings: List[str] = []
-        self.timed_out = False
-        self._deadline: Optional[float] = None
-        self._sessions: Dict[Tuple[int, int], SolverSession] = {}
-        self._memo = QueryMemo()
 
     # ------------------------------------------------------------------
     # per-launch pipeline
@@ -502,7 +434,7 @@ class StreamChecker:
                 executor = Executor(sesa.module, sesa.kernel, config,
                                     mode="sesa",
                                     sink_value_ids=sesa.taint.sink_value_ids)
-                side = _LaunchSide(index, launch, config, executor.run())
+                side = _LaunchSide(index, launch, executor.run())
             cached = True
         else:
             report = sesa.check(config, solver_budget=self.solver_budget,
@@ -514,7 +446,7 @@ class StreamChecker:
                     "verdict": verdict,
                     "check_stats": verdict.get("check_stats")})
             if need_accesses and report.execution is not None:
-                side = _LaunchSide(index, launch, config, report.execution)
+                side = _LaunchSide(index, launch, report.execution)
             cached = False
         elapsed = time.perf_counter() - start
         self.stats.execute_seconds += elapsed
@@ -534,121 +466,20 @@ class StreamChecker:
     # inter-launch checking
     # ------------------------------------------------------------------
 
-    def _out_of_time(self) -> bool:
-        if self._deadline is not None \
-                and time.monotonic() > self._deadline:
-            self.timed_out = True
-            return True
-        return False
-
     def _pair_fingerprint(self, o1: LaunchOutcome, o2: LaunchOutcome
                           ) -> str:
-        material = json.dumps({
-            "kind": "stream_interlaunch",
-            "fp1": o1.fingerprint, "fp2": o2.fingerprint,
-            "args1": sorted(self.program.launches()[o1.index].args.items()),
-            "args2": sorted(self.program.launches()[o2.index].args.items()),
-            "code": code_digest(),
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _provably_disjoint(self, s1: _LaunchSide, a1: Access,
-                           s2: _LaunchSide, a2: Access) -> bool:
-        f1 = s1.footprint(a1)
-        f2 = s2.footprint(a2)
-        if f1 is not None and f2 is not None and \
-                (f1[1] < f2[0] or f2[1] < f1[0]):
-            return True
-        if a1.size != a2.size:
-            return False
-        d1 = s1.affine_of(a1.offset)
-        d2 = s2.affine_of(a2.offset)
-        if d1 is None or d2 is None:
-            return False
-        return stride_separated(d1, d2, 32)
-
-    def _overlap(self, s1: _LaunchSide, a1: Access,
-                 s2: _LaunchSide, a2: Access) -> Term:
-        addr1 = s1.subst(a1.offset)
-        addr2 = s2.subst(a2.offset)
-        if a1.size == a2.size:
-            return mk_eq(addr1, addr2)
-        b1 = mk_bv(a1.size, 32)
-        b2 = mk_bv(a2.size, 32)
-        return mk_and(
-            mk_ult(addr1, mk_add(addr2, b2)),
-            mk_ult(addr2, mk_add(addr1, b1)))
-
-    def _solve(self, goal: Sequence[Term], preamble: Sequence[Term],
-               skey: Tuple[int, int]) -> Optional[Model]:
-        self.stats.queries += 1
-        canon = simplify(mk_and(*goal)) if goal else TRUE
-        key = (skey, id(canon))
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.stats.by_memo += 1
-            result, values = hit
-            return Model(dict(values)) if result == CheckResult.SAT \
-                else None
-        session = self._sessions.get(skey)
-        if session is None:
-            session = SolverSession(list(preamble),
-                                    conflict_budget=self.solver_budget,
-                                    deadline=self._deadline)
-            self._sessions[skey] = session
-            self.stats.sessions_created += 1
-        else:
-            session.deadline = self._deadline
-        outcome = session.check([canon] if canon is not TRUE else [])
-        if outcome == CheckResult.SAT:
-            model = session.model()
-            self._memo.put(key, outcome, dict(model.values))
-            return model
-        if outcome == CheckResult.UNKNOWN:
-            self.timed_out = True
-            return None
-        self._memo.put(key, outcome)
-        return None
-
-    def _classify_benign(self, s1: _LaunchSide, a1: Access,
-                         s2: _LaunchSide, a2: Access,
-                         goal: List[Term], preamble: List[Term],
-                         skey: Tuple[int, int]) -> bool:
-        if not (a1.kind.is_write() and a2.kind.is_write()
-                and a1.value is not None and a2.value is not None):
-            return False
-        if contains_havoc(a1.value) or contains_havoc(a2.value):
-            return False
-        distinct = mk_ne(s1.subst(a1.value), s2.subst(a2.value))
-        return self._solve(goal + [distinct], preamble, skey) is None
-
-    def _witness(self, model: Model, s1: _LaunchSide,
-                 s2: _LaunchSide) -> Dict[str, object]:
-        def coords(side: _LaunchSide, prefix: str) -> List[int]:
-            out = []
-            for axis in ("x", "y", "z"):
-                var = side.vars.get(f"{prefix}.{axis}")
-                out.append(model.get(var.name, 0)
-                           if var is not None else 0)
-            return out
-
-        inputs = {k: v for k, v in model.values.items() if "!" not in k}
-        return {"thread1": coords(s1, "tid"), "block1": coords(s1, "bid"),
-                "thread2": coords(s2, "tid"), "block2": coords(s2, "bid"),
-                "inputs": inputs}
-
-    def _race_kind(self, a1: Access, a2: Access) -> str:
-        kind = "WW" if a1.kind.is_write() and a2.kind.is_write() else "RW"
-        if AccessKind.ATOMIC in (a1.kind, a2.kind):
-            kind = "Atomic/W" if kind == "WW" else "Atomic/R"
-        return kind
+        launches = self.program.launches()
+        return content_key(
+            "stream_interlaunch",
+            fp1=o1.fingerprint, fp2=o2.fingerprint,
+            args1=sorted(launches[o1.index].args.items()),
+            args2=sorted(launches[o2.index].args.items()))
 
     def _check_launch_pair(self, s1: _LaunchSide, s2: _LaunchSide,
                            races: List[InterLaunchRace]) -> List[dict]:
         """All inter-launch races between two HB-unordered launches;
         returns the pair's cacheable race payloads (appending live
         reports to *races*)."""
-        skey = (s1.index, s2.index)
         preamble = s1.bounds + s2.bounds
         found: List[dict] = []
         reported: Set[tuple] = set()
@@ -668,20 +499,19 @@ class StreamChecker:
                     self.stats.pairs_considered += 1
                     # one report per (buffer, line pair, kind): loop
                     # iterations of the same statement are the same bug
-                    rkey = (buf, a1.loc, a2.loc, self._race_kind(a1, a2))
+                    rkey = (buf, a1.loc, a2.loc, race_kind(a1, a2))
                     if rkey in reported:
                         continue
                     if self.pruning \
                             and self._provably_disjoint(s1, a1, s2, a2):
                         self.stats.pruned_pairs += 1
                         continue
-                    goal = [s1.subst(a1.cond), s2.subst(a2.cond),
-                            self._overlap(s1, a1, s2, a2)]
-                    model = self._solve(goal, preamble, skey)
+                    goal = self._goal(s1, a1, s2, a2)
+                    model = self._solve(goal, preamble)
                     if model is None:
                         continue
                     benign = self._classify_benign(
-                        s1, a1, s2, a2, goal, preamble, skey)
+                        s1, a1, s2, a2, goal, preamble)
                     reported.add(rkey)
                     race = InterLaunchRace(
                         kind=rkey[3], buffer=buf,
@@ -692,7 +522,12 @@ class StreamChecker:
                         loc1=int(a1.loc) if a1.loc is not None else None,
                         loc2=int(a2.loc) if a2.loc is not None else None,
                         benign=benign,
-                        witness=self._witness(model, s1, s2))
+                        witness={
+                            "thread1": list(s1.coords(model, "tid")),
+                            "block1": list(s1.coords(model, "bid")),
+                            "thread2": list(s2.coords(model, "tid")),
+                            "block2": list(s2.coords(model, "bid")),
+                            "inputs": witness_inputs(model)})
                     races.append(race)
                     found.append(race.to_dict())
                     self.stats.inter_launch_races += 1

@@ -104,6 +104,13 @@ class LaunchConfig:
     def total_threads(self) -> int:
         return self.threads_per_block * self.num_blocks
 
+    def extent(self, name: str) -> int:
+        """The launch extent bounding the built-in coordinate *name*:
+        ``tid.<axis>`` by ``blockDim``, ``bid.<axis>`` by ``gridDim``."""
+        prefix, axis = name.split(".")
+        dims = self.block_dim if prefix == "tid" else self.grid_dim
+        return dims["xyz".index(axis)]
+
     def default_array_size(self) -> int:
         # headroom above the thread count: kernels commonly read a
         # neighbourhood or two elements per thread

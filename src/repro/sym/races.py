@@ -18,10 +18,9 @@ tables mark them "W/W (Benign)".
 from __future__ import annotations
 
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..smt.persist import (
     SolverArtifactStore, canonical_term, preamble_fingerprint,
@@ -30,25 +29,21 @@ from ..smt.subst import EvaluationError, evaluate
 
 from .. import ir
 from ..smt import (
-    CheckResult, FALSE, Model, QueryMemo, SolverSession,
-    SolverStats, Substitution, TRUE, Term, mk_and, mk_bv,
-    mk_bv_var, mk_eq, mk_ne, mk_not, mk_or, mk_udiv, mk_ule, mk_ult,
-    simplify,
+    CheckResult, FALSE, Model, QueryMemo, SolverSession, SolverStats,
+    TRUE, Term, mk_and, mk_bv, mk_eq, mk_not, mk_udiv, mk_ule, simplify,
 )
-from ..smt.affine import (
-    AffineForm, affine_decompose, equality_forces_equal_components,
-    stride_separated,
-)
-from ..smt.interval import Interval, IntervalAnalysis, byte_footprint
-from ..smt.terms import Op, mk_add, mk_mul, mk_uge
-from .access import Access, AccessKind, AccessSet
-from .config import LaunchConfig, SymbolicEnv
+from ..smt.affine import affine_decompose, equality_forces_equal_components
+from ..smt.interval import Interval
+from ..smt.terms import Op, mk_add, mk_mul
+from .access import Access, AccessKind
 from .executor import ExecutionResult
 from .memory import MemoryObject, contains_havoc
+from .pairs import _MISS, PairDischarge, PairSide, race_kind, witness_inputs
 from .swarm import ShardSelector
 
-#: cache-miss sentinel (None is a legitimate cached value)
-_MISS = object()
+#: a pair's discharge step: ``(a1, a2, same_bi)`` -> None (no race) or
+#: ``(witness model, benign)``
+Discharge = Callable[[Access, Access, bool], Optional[Tuple[Model, bool]]]
 
 
 @dataclass
@@ -174,8 +169,15 @@ class CheckStats:
     feasibility: SolverStats = field(default_factory=SolverStats)
 
 
-class RaceChecker:
-    """Checks one :class:`ExecutionResult` for races and OOB accesses."""
+class RaceChecker(PairDischarge):
+    """Checks one :class:`ExecutionResult` for races and OOB accesses.
+
+    The two sides are two threads of the one launch (``!1`` / ``!2``)
+    sharing one interval analysis. On top of the shared pair steps this
+    client owns the intra-launch rules: the different-thread preamble,
+    the affine fast path, the warp-aware split, cross-run persistence
+    and the shard ordinals.
+    """
 
     def __init__(self, result: ExecutionResult,
                  solver_budget: Optional[int] = 200_000,
@@ -186,11 +188,14 @@ class RaceChecker:
                                          SolverSession]] = None,
                  memo: Optional[QueryMemo] = None,
                  shard: Optional[ShardSelector] = None) -> None:
+        # callers running the checker repeatedly over near-identical
+        # programs (the CEGIS repair loop) pass shared sessions / memo
+        # so warm sessions and memoized verdicts carry across re-checks
+        super().__init__(solver_budget, sessions, memo)
         self.result = result
         self.config = result.config
         self.env = result.env
         self.max_reports = max_reports
-        self.solver_budget = solver_budget
         # swarm mode: restrict the pair walk to this shard's ordinal
         # ranges (None: the whole enumeration, the sequential default)
         self.shard = shard if shard is not None \
@@ -207,41 +212,15 @@ class RaceChecker:
         self.stats.summarized_accesses = result.summarized_accesses
         self.stats.execute_seconds = result.elapsed_seconds
         self.stats.feasibility = result.feasibility.copy()
-        self.timed_out = False
-        self._deadline: Optional[float] = None
         self.races: List[RaceReport] = []
         self.oobs: List[OOBReport] = []
         self.assertion_failures: List[AssertionReport] = []
-        # summary index variables are instantiated per thread side like
-        # the thread coordinates (their k < count bounds live in the
-        # access guards, so the preambles stay summary-free)
-        self._summary_bounds: Dict[str, Interval] = {}
-        self._summary_vars: Dict[str, Term] = {}
-        for bi_set in result.bi_access_sets:
-            for access in bi_set:
-                if access.summary is not None:
-                    k = access.summary.index_var
-                    self._summary_vars[k.name] = k
-                    self._summary_bounds[k.name] = Interval(
-                        0, access.summary.count - 1, k.width)
-        # two instantiations of the parametric thread
-        self._theta1, self._vars1 = self._instantiation("!1")
-        self._theta2, self._vars2 = self._instantiation("!2")
-        # persistent substitution caches: shared subterm prefixes (flow
-        # conditions of the enclosing interval) are instantiated once
-        self._subst1 = Substitution(self._theta1[0])
-        self._subst2 = Substitution(self._theta2[0])
-        # incremental machinery: one session per distinct preamble
-        # (keyed on interned term identities, built lazily because
-        # extra_assumptions may be mutated after construction), the
-        # cross-query memo, and the divergence-check cache
-        # callers running the checker repeatedly over near-identical
-        # programs (the CEGIS repair loop) pass shared containers here so
-        # warm sessions / memoized verdicts carry across re-checks —
-        # preambles are interned terms, so the keys are stable between
-        # checker instances
-        self._sessions = sessions if sessions is not None else {}
-        self._memo = memo if memo is not None else QueryMemo()
+        # two instantiations of the parametric thread; their summary
+        # index variables are per side too (each thread may be at a
+        # different unrolled iteration)
+        self._side1 = PairSide(result, "!1")
+        self._side2 = PairSide(result, "!2", shared=self._side1)
+        self._summary_bounds = self._side1.summary_bounds
         self._div_cache: Dict[int, bool] = {}
         # cross-run warm start: content-addressed solver artifacts under
         # the configured cache dir (None: no persistence, the default)
@@ -259,64 +238,20 @@ class RaceChecker:
         #: preambles whose artifact gained something this run — a fully
         #: replayed session skips the (JSON-heavy) re-save entirely
         self._persist_dirty: Set[Tuple[int, ...]] = set()
-        # pruning machinery: interval analysis over the *uninstantiated*
-        # offsets (both thread sides share the same bounds), per-offset
-        # footprint/affine caches, and the canonical pair memo
-        self._ia = IntervalAnalysis(self._pruning_bounds())
-        self._foot_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
-        self._affine_cache: Dict[int, Optional[AffineForm]] = {}
+        # the canonical pair memo and the per-run affine verdicts
         self._pair_memo: Dict[tuple, Optional[tuple]] = {}
+        self._affine_verdicts: Dict[tuple, bool] = {}
         self._race_pre_cache: Dict[tuple, List[Term]] = {}
         self._spine_cache: Dict[int, Tuple[Set[int], Set[int]]] = {}
-        self._pkey_cache: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
 
-    def _instantiation(self, suffix: str):
-        """Substitution tid.*→t<suffix>, bid.*→b<suffix> plus bounds."""
-        theta = {}
-        bounds: List[Term] = []
-        new_vars: Dict[str, Term] = {}
-        for name, var in self.env.thread_vars().items():
-            fresh = mk_bv_var(f"{name}{suffix}", 32)
-            theta[var] = fresh
-            new_vars[name] = fresh
-            axis = name.split(".")[1]
-            i = {"x": 0, "y": 1, "z": 2}[axis]
-            extent = self.config.block_dim[i] if name.startswith("tid") \
-                else self.config.grid_dim[i]
-            bounds.append(mk_ult(fresh, mk_bv(extent, 32)))
-        # summary index variables get per-side copies too (each thread
-        # may be at a different unrolled iteration); their bounds are
-        # carried by the access guards, not the preamble
-        for name in sorted(self._summary_vars):
-            var = self._summary_vars[name]
-            fresh = mk_bv_var(f"{name}{suffix}", var.width)
-            theta[var] = fresh
-            new_vars[name] = fresh
-        return (theta, bounds), new_vars
-
-    def _pruning_bounds(self) -> Dict[str, Interval]:
-        """Variable bounds for the pre-instantiation interval analysis."""
-        bounds: Dict[str, Interval] = dict(self._summary_bounds)
-        for name in self.env.thread_vars():
-            axis = name.split(".")[1]
-            i = {"x": 0, "y": 1, "z": 2}[axis]
-            extent = self.config.block_dim[i] if name.startswith("tid") \
-                else self.config.grid_dim[i]
-            bounds[name] = Interval(0, max(0, extent - 1), 32)
-        return bounds
-
-    def _inst(self, term: Term, which: int) -> Term:
-        subst = self._subst1 if which == 1 else self._subst2
-        return subst(term)
-
     def _var(self, which: int, name: str) -> Term:
-        vars_ = self._vars1 if which == 1 else self._vars2
-        return vars_.get(name, mk_bv(0, 32))
+        side = self._side1 if which == 1 else self._side2
+        return side.vars.get(name, mk_bv(0, 32))
 
     def _bounds(self) -> List[Term]:
-        return self._theta1[1] + self._theta2[1] + \
+        return self._side1.bounds + self._side2.bounds + \
             list(self.config.assumptions) + self.extra_assumptions
 
     # -- query preambles ---------------------------------------------------
@@ -340,7 +275,7 @@ class RaceChecker:
         key = ("single", len(self.extra_assumptions))
         pre = self._race_pre_cache.get(key)
         if pre is None:
-            pre = self._theta1[1] + list(self.config.assumptions) + \
+            pre = self._side1.bounds + list(self.config.assumptions) + \
                 self.extra_assumptions
             self._race_pre_cache[key] = pre
         return pre
@@ -350,7 +285,7 @@ class RaceChecker:
         key = ("div",)
         pre = self._race_pre_cache.get(key)
         if pre is None:
-            pre = list(self._theta1[1])
+            pre = list(self._side1.bounds)
             self._race_pre_cache[key] = pre
         return pre
 
@@ -358,7 +293,7 @@ class RaceChecker:
 
     def _same_block(self) -> Term:
         conj = TRUE
-        for name in self._vars1:
+        for name in self._side1.vars:
             if name.startswith("bid"):
                 conj = mk_and(conj, mk_eq(self._var(1, name),
                                           self._var(2, name)))
@@ -366,7 +301,7 @@ class RaceChecker:
 
     def _same_thread_in_block(self) -> Term:
         conj = TRUE
-        for name in self._vars1:
+        for name in self._side1.vars:
             if name.startswith("tid"):
                 conj = mk_and(conj, mk_eq(self._var(1, name),
                                           self._var(2, name)))
@@ -421,18 +356,12 @@ class RaceChecker:
                 continue
             seen.add(key)
             model = self._solve(
-                [self._inst(reached, 1), mk_not(self._inst(claim, 1))],
+                [self._side1.inst(reached), mk_not(self._side1.inst(claim))],
                 self._single_preamble())
             if model is not None:
                 self.assertion_failures.append(AssertionReport(
                     loc=loc, witness=self._witness(model,
                                                    two_threads=False)))
-
-    def _out_of_time(self) -> bool:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self.timed_out = True
-            return True
-        return False
 
     def _check_races(self) -> None:
         # pair generation is lazy: early exit (reports full / time up)
@@ -489,7 +418,9 @@ class RaceChecker:
                                         or a2.kind.is_write()):
                                     continue
                                 if self.pruning and \
-                                        self._provably_disjoint(a1, a2):
+                                        self._provably_disjoint(
+                                            self._side1, a1,
+                                            self._side2, a2):
                                     self.stats.bucketed_out += 1
                                     continue
                                 yield (("x", i, j, obj.name),
@@ -572,7 +503,8 @@ class RaceChecker:
                 sum(self._eligible_pair_count(b) for b in buckets)
         for index, bucket in enumerate(buckets):
             for a1, a2 in self._write_pairs(bucket):
-                if a1 is not a2 and self._stride_separated_pair(a1, a2):
+                if a1 is not a2 and self._stride_separated(
+                        self._side1, a1, self._side2, a2):
                     self.stats.bucketed_out += 1
                     continue
                 yield index, a1, a2
@@ -584,7 +516,7 @@ class RaceChecker:
         An access whose footprint is unknown overlaps everything."""
         mask = (1 << 32) - 1
         items = sorted(
-            ((self._footprint(a) or (0, mask)), pos, a)
+            ((self._side1.footprint(a) or (0, mask)), pos, a)
             for pos, a in enumerate(accesses))
         buckets: List[List[Tuple[int, Access]]] = []
         cur: List[Tuple[int, Access]] = []
@@ -601,64 +533,6 @@ class RaceChecker:
         # (and hence report order) is independent of the partitioning
         return [[a for _, a in sorted(b)] for b in buckets]
 
-    def _footprint(self, access: Access) -> Optional[Tuple[int, int]]:
-        """Sound byte range [lo, hi] the access can touch, or None.
-
-        Computed on the uninstantiated offset: both thread sides share
-        the same variable bounds, so the range covers either side. The
-        summary-variable bounds used here are guaranteed by the k<count
-        conjunct every summary carries in its guard."""
-        key = (id(access.offset), access.size)
-        hit = self._foot_cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        foot = byte_footprint(self._ia.interval_of(access.offset),
-                              access.size)
-        self._foot_cache[key] = foot
-        return foot
-
-    def _affine_of(self, offset: Term) -> Optional[AffineForm]:
-        form = self._affine_cache.get(id(offset), _MISS)
-        if form is _MISS:
-            form = affine_decompose(offset)
-            self._affine_cache[id(offset)] = form
-        return form
-
-    def _stride_separated_pair(self, a1: Access, a2: Access) -> bool:
-        """Residue separation: same-size accesses whose affine offsets
-        differ by a non-multiple of the common coefficient gcd can never
-        touch the same address (sound for independent thread sides)."""
-        if a1.size != a2.size:
-            return False
-        d1 = self._affine_of(a1.offset)
-        d2 = self._affine_of(a2.offset)
-        if d1 is None or d2 is None:
-            return False
-        return stride_separated(d1, d2, 32)
-
-    def _provably_disjoint(self, a1: Access, a2: Access) -> bool:
-        """Pairwise disjointness for cross-interval pairs."""
-        f1 = self._footprint(a1)
-        f2 = self._footprint(a2)
-        if f1 is not None and f2 is not None and \
-                (f1[1] < f2[0] or f2[1] < f1[0]):
-            return True
-        return self._stride_separated_pair(a1, a2)
-
-    # ------------------------------------------------------------------
-
-    def _overlap(self, a1: Access, a2: Access) -> Term:
-        addr1 = self._inst(a1.offset, 1)
-        addr2 = self._inst(a2.offset, 2)
-        if a1.size == a2.size:
-            return mk_eq(addr1, addr2)
-        # byte ranges [addr, addr+size) intersect
-        s1 = mk_bv(a1.size, 32)
-        s2 = mk_bv(a2.size, 32)
-        return mk_and(
-            mk_ult(addr1, mk_add(addr2, s2)),
-            mk_ult(addr2, mk_add(addr1, s1)))
-
     def _different_thread(self, obj: MemoryObject) -> Term:
         if obj.space == ir.MemSpace.SHARED:
             # shared memory is per block: the two parametric threads live
@@ -673,19 +547,29 @@ class RaceChecker:
         """Fast path: equal-size accesses whose addresses are the *same*
         injective affine map of the thread coordinates can never collide
         for distinct threads — UNSAT without the SAT core. Conditions
-        are irrelevant: they only strengthen the conjunction."""
+        are irrelevant: they only strengthen the conjunction. Cached per
+        run on the inputs it reads: the offset pair, size and space."""
         if a1.size != a2.size:
             return False
-        addr1 = affine_decompose(simplify(self._inst(a1.offset, 1)))
-        addr2 = affine_decompose(simplify(self._inst(a2.offset, 2)))
+        key = (id(a1.offset), id(a2.offset), a1.size, obj.space)
+        verdict = self._affine_verdicts.get(key)
+        if verdict is None:
+            verdict = self._affine_injective(a1, a2, obj)
+            self._affine_verdicts[key] = verdict
+        return verdict
+
+    def _affine_injective(self, a1: Access, a2: Access,
+                          obj: MemoryObject) -> bool:
+        addr1 = affine_decompose(simplify(self._side1.inst(a1.offset)))
+        addr2 = affine_decompose(simplify(self._side2.inst(a2.offset)))
         if addr1 is None or addr2 is None:
             return False
         pairing = {}
         var_bounds = {}
         distinct_components = []
-        for name in self._vars1:
-            v1 = self._vars1[name].name
-            v2 = self._vars2[name].name
+        for name, var1 in self._side1.vars.items():
+            v1 = var1.name
+            v2 = self._side2.vars[name].name
             pairing[v1] = v2
             summary_bound = self._summary_bounds.get(name)
             if summary_bound is not None:
@@ -694,9 +578,7 @@ class RaceChecker:
                 var_bounds[v1] = summary_bound
                 var_bounds[v2] = summary_bound
                 continue
-            axis = name.split(".")[1]
-            i = {"x": 0, "y": 1, "z": 2}[axis]
-            extent = self.config.block_dim[i] if name.startswith("tid")                 else self.config.grid_dim[i]
+            extent = self.config.extent(name)
             var_bounds[v1] = Interval(0, extent - 1, 32)
             var_bounds[v2] = Interval(0, extent - 1, 32)
             if name.startswith("tid") or obj.space != ir.MemSpace.SHARED:
@@ -721,7 +603,13 @@ class RaceChecker:
         return (cls(a1), cls(a2), same_bi, a1.obj.space,
                 a1.instr_id == a2.instr_id)
 
-    def _check_pair(self, a1: Access, a2: Access, same_bi: bool) -> None:
+    def _check_pair(self, a1: Access, a2: Access, same_bi: bool,
+                    discharge: Optional[Discharge] = None) -> None:
+        """Decide one candidate pair and emit its race, if any.
+
+        *discharge* decides a pair that the pair memo, cross-run replay
+        and affine fast path left open: :meth:`_solve_pair` by default,
+        the static tier's exhaustive evaluation otherwise."""
         self.stats.pairs_considered += 1
         obj = a1.obj
         memo_key = None
@@ -738,9 +626,9 @@ class RaceChecker:
         # cross-run pair replay: a previous run recorded this exact
         # pair's verdict (canonical digests of every input) under the
         # same preamble — short-circuits ahead of even the affine path
-        preamble = self._race_preamble(obj)
-        ppairs = pdigest = None
+        preamble = ppairs = pdigest = None
         if self._store is not None and self.pruning:
+            preamble = self._race_preamble(obj)
             pkey = self._pkey_of(preamble)
             self._ensure_warm(preamble, pkey)
             ppairs = self._persist_pairs.setdefault(pkey, {})
@@ -756,35 +644,45 @@ class RaceChecker:
             self._record_pair(preamble, ppairs, pdigest, None)
             return
         was_timed_out = self.timed_out
-        goal = [
-            self._inst(a1.cond, 1),
-            self._inst(a2.cond, 2),
-            self._overlap(a1, a2),
-        ]
+        verdict = (discharge or self._solve_pair)(a1, a2, same_bi)
+        # a verdict cut short by the budget must not be replayed
+        settled = memo_key is not None and self.timed_out == was_timed_out
+        if verdict is None:
+            if settled:
+                self._pair_memo[memo_key] = None
+                self._record_pair(preamble, ppairs, pdigest, None)
+            return
+        model, benign = verdict
+        if settled:
+            self._pair_memo[memo_key] = (dict(model.values), benign)
+            self._record_pair(preamble, ppairs, pdigest,
+                              [dict(model.values), benign])
+        self._emit_race(a1, a2, model, benign)
+
+    def _race_goal(self, a1: Access, a2: Access,
+                   same_bi: bool) -> List[Term]:
+        goal = self._goal(self._side1, a1, self._side2, a2)
         if not same_bi:
             # cross-interval global pair: only unordered across blocks
             goal.append(mk_not(self._same_block()))
+        return goal
+
+    def _solve_pair(self, a1: Access, a2: Access, same_bi: bool
+                    ) -> Optional[Tuple[Model, bool]]:
+        """The default discharge: solve the race query, then classify
+        a collision as benign or not."""
+        preamble = self._race_preamble(a1.obj)
+        goal = self._race_goal(a1, a2, same_bi)
         if self._conj_trivially_false(preamble, goal):
-            if memo_key is not None:
-                self._pair_memo[memo_key] = None
-            self._record_pair(preamble, ppairs, pdigest, None)
-            return
+            return None
         if self.config.warp_lockstep and self.config.warp_size > 1:
             model = self._solve_warp_aware(a1, a2, preamble, goal)
         else:
             model = self._solve(goal, preamble)
         if model is None:
-            # a verdict cut short by the budget must not be replayed
-            if memo_key is not None and self.timed_out == was_timed_out:
-                self._pair_memo[memo_key] = None
-                self._record_pair(preamble, ppairs, pdigest, None)
-            return
-        benign = self._classify_benign(a1, a2, preamble, goal)
-        if memo_key is not None and self.timed_out == was_timed_out:
-            self._pair_memo[memo_key] = (dict(model.values), benign)
-            self._record_pair(preamble, ppairs, pdigest,
-                              [dict(model.values), benign])
-        self._emit_race(a1, a2, model, benign)
+            return None
+        return model, self._classify_benign(
+            self._side1, a1, self._side2, a2, goal, preamble)
 
     def _pair_digest(self, a1: Access, a2: Access, same_bi: bool) -> str:
         """Cross-run-stable identity of a pair's solver problem: the
@@ -817,13 +715,7 @@ class RaceChecker:
         # racy replay: re-derive the goal and check the stored witness
         # actually exhibits it — a bogus artifact costs this validation,
         # never a spurious race
-        goal = [
-            self._inst(a1.cond, 1),
-            self._inst(a2.cond, 2),
-            self._overlap(a1, a2),
-        ]
-        if not same_bi:
-            goal.append(mk_not(self._same_block()))
+        goal = self._race_goal(a1, a2, same_bi)
         if not self._witness_holds(preamble, goal, values):
             return False
         self.stats.warm_pair_hits += 1
@@ -880,46 +772,6 @@ class RaceChecker:
         if gfalse:
             return True
         return bool((pneg & gids) or (gneg & gids) or (gneg & pids))
-
-    def _solve(self, goal: Sequence[Term],
-               preamble: Sequence[Term]) -> Optional[Model]:
-        """SAT model of ``preamble AND goal``, or None (UNSAT/unknown).
-
-        Canonicalises the goal, consults the memo, then checks it as
-        assumptions against the session holding the blasted preamble.
-        """
-        self.stats.queries += 1
-        canon = simplify(mk_and(*goal)) if goal else TRUE
-        pkey = self._pkey_of(preamble)
-        key = (pkey, id(canon))
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.stats.by_memo += 1
-            result, values = hit
-            return Model(dict(values)) if result == CheckResult.SAT else None
-
-        session = self._session_for(preamble, pkey)
-        replay = self._replay_persisted(preamble, goal, pkey, canon, key)
-        if replay is not _MISS:
-            return replay
-        before = session.stats.copy()
-        outcome = session.check([canon] if canon is not TRUE else [])
-        self.stats.solver.merge(session.stats.delta_since(before))
-        if outcome == CheckResult.SAT:
-            model = session.model()
-            self._memo.put(key, outcome, dict(model.values))
-            self._record_persisted(pkey, canon, outcome,
-                                   dict(model.values))
-            return model
-        if outcome == CheckResult.UNKNOWN:
-            # the solver budget (conflicts or deadline) ran out mid-query:
-            # the verdict for this pair is unknown, so the overall answer
-            # must carry the same T.O. marker as a wall-clock timeout
-            self.timed_out = True
-            return None
-        self._memo.put(key, outcome)
-        self._record_persisted(pkey, canon, outcome, None)
-        return None
 
     # -- cross-run persisted memo --------------------------------------
 
@@ -1008,37 +860,16 @@ class RaceChecker:
             written += 1
         return written
 
-    def _pkey_of(self, preamble: Sequence[Term]) -> Tuple[int, ...]:
-        # preamble lists are pinned in _race_pre_cache, so their id is a
-        # stable key for the (tuple-of-term-ids) session key
-        pkey = self._pkey_cache.get(id(preamble))
-        if pkey is None:
-            pkey = tuple(id(t) for t in preamble)
-            self._pkey_cache[id(preamble)] = pkey
-        return pkey
-
-    def _session_for(self, preamble: Sequence[Term],
-                     pkey: Tuple[int, ...]) -> SolverSession:
-        session = self._sessions.get(pkey)
-        if session is None:
-            # the session owns its stats: sessions outlive this checker
-            # (the repair loop shares them across re-checks), so binding
-            # them to one checker's counters would double-count — each
-            # query's delta is merged in _solve instead
-            session = SolverSession(
-                preamble, conflict_budget=self.solver_budget,
-                deadline=self._deadline)
-            self._sessions[pkey] = session
-            self.stats.sessions_created += 1
-            if self._store is not None:
-                self._ensure_warm(preamble, pkey)
-                artifact = self._warm_artifact.get(pkey)
-                if artifact is not None and session.adopt_state(artifact):
-                    self.stats.warm_starts += 1
-        else:
-            self.stats.preamble_reuse += 1
-            session.deadline = self._deadline
-        return session
+    def _warm_session(self, preamble: Sequence[Term],
+                      pkey: Tuple[int, ...],
+                      session: SolverSession) -> None:
+        """Adopt the persisted solver state for a new session."""
+        if self._store is None:
+            return
+        self._ensure_warm(preamble, pkey)
+        artifact = self._warm_artifact.get(pkey)
+        if artifact is not None and session.adopt_state(artifact):
+            self.stats.warm_starts += 1
 
     def _ensure_warm(self, preamble: Sequence[Term],
                      pkey: Tuple[int, ...]) -> None:
@@ -1091,37 +922,18 @@ class RaceChecker:
         if cached is not None:
             self.stats.div_cache_hits += 1
             return cached
-        reachable = self._solve([self._inst(both, 1)],
+        reachable = self._solve([self._side1.inst(both)],
                                 self._div_preamble()) is not None
         self._div_cache[key] = reachable
         return reachable
 
-    def _classify_benign(self, a1: Access, a2: Access,
-                         preamble: List[Term], goal: List[Term]) -> bool:
-        """W/W race where the colliding writes provably store the same
-        value (paper's "W/W (Benign)")."""
-        if not (a1.kind.is_write() and a2.kind.is_write()
-                and a1.value is not None and a2.value is not None):
-            return False
-        if contains_havoc(a1.value) or contains_havoc(a2.value):
-            return False
-        distinct = mk_ne(self._inst(a1.value, 1),
-                         self._inst(a2.value, 2))
-        return self._solve(goal + [distinct], preamble) is None
-
     def _emit_race(self, a1: Access, a2: Access, model: Model,
                    benign: bool) -> None:
-        # canonical kind: WW for write/write, RW for mixed; atomics noted
-        if a1.kind.is_write() and a2.kind.is_write():
-            kind = "WW"
-        else:
-            kind = "RW"
-        if AccessKind.ATOMIC in (a1.kind, a2.kind):
-            kind = f"Atomic/{kind[0]}" if kind == "WW" else "Atomic/R"
         unresolvable = any(contains_havoc(t) for t in
                            (a1.cond, a2.cond, a1.offset, a2.offset))
         report = RaceReport(
-            kind=kind, obj_name=a1.obj.name, access1=a1, access2=a2,
+            kind=race_kind(a1, a2), obj_name=a1.obj.name,
+            access1=a1, access2=a2,
             benign=benign, witness=self._witness(model, two_threads=True),
             unresolvable=unresolvable, ordinal=self._current_ordinal)
         self.races.append(report)
@@ -1150,16 +962,16 @@ class RaceChecker:
             # inside the object (thread bounds from the preamble, summary
             # bounds from the guard), the query has no model — skip it
             if self.pruning and obj.size_bytes >= access.size:
-                iv = self._ia.interval_of(access.offset)
+                iv = self._side1.ia.interval_of(access.offset)
                 if iv.hi <= obj.size_bytes - access.size:
                     self.stats.oob_pruned += 1
                     continue
             # an access wider than its object overruns it at any offset
             limit = obj.size_bytes - access.size
-            past_end = mk_not(mk_ule(self._inst(access.offset, 1),
+            past_end = mk_not(mk_ule(self._side1.inst(access.offset),
                                      mk_bv(limit, 32))) \
                 if limit >= 0 else TRUE
-            model = self._solve([self._inst(access.cond, 1), past_end],
+            model = self._solve([self._side1.inst(access.cond), past_end],
                                 self._single_preamble())
             if model is not None:
                 reported.add((obj.name, access.loc))
@@ -1172,21 +984,11 @@ class RaceChecker:
     # ------------------------------------------------------------------
 
     def _witness(self, model: Model, two_threads: bool) -> RaceWitness:
-        def coords(which: int, prefix: str) -> Tuple[int, int, int]:
-            out = []
-            for axis in ("x", "y", "z"):
-                name = f"{prefix}.{axis}"
-                var = (self._vars1 if which == 1 else self._vars2).get(name)
-                out.append(model.get(var.name, 0) if var is not None else 0)
-            return tuple(out)  # type: ignore[return-value]
-
-        inputs = {k: v for k, v in model.values.items()
-                  if not any(k.startswith(p)
-                             for p in ("tid.", "bid.")) and "!" not in k}
+        s1, s2 = self._side1, self._side2
         witness = RaceWitness(
-            thread1=coords(1, "tid"), block1=coords(1, "bid"),
-            inputs=inputs)
+            thread1=s1.coords(model, "tid"), block1=s1.coords(model, "bid"),
+            inputs=witness_inputs(model))
         if two_threads:
-            witness.thread2 = coords(2, "tid")
-            witness.block2 = coords(2, "bid")
+            witness.thread2 = s2.coords(model, "tid")
+            witness.block2 = s2.coords(model, "bid")
         return witness

@@ -23,10 +23,10 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-def _one_shot_solve(self, goal, preamble, *_session_key):
-    """Reference ``_solve`` for :class:`RaceChecker` and
-    :class:`StreamChecker`: the whole ``preamble AND goal`` conjunction
-    on a fresh :class:`~repro.smt.Solver` — no session, no memo."""
+def _one_shot_solve(self, goal, preamble):
+    """Reference for the shared pair-discharge ``_solve``: the whole
+    ``preamble AND goal`` conjunction on a fresh :class:`~repro.smt.Solver`
+    — no session, no memo."""
     from repro.smt import CheckResult, Solver, mk_and
     self.stats.queries += 1
     solver = Solver(conflict_budget=self.solver_budget,
@@ -44,15 +44,15 @@ def _one_shot_solve(self, goal, preamble, *_session_key):
 def one_shot_solving():
     """A context manager under which every race and stream-pair query
     is solved one-shot (see :func:`_one_shot_solve`), the differential
-    reference for the shipped session path."""
-    from repro.streams import StreamChecker
-    from repro.sym.races import RaceChecker
+    reference for the shipped session path. Both checkers answer their
+    queries through the one :meth:`PairDischarge._solve`, so patching
+    it covers both."""
+    from repro.sym.pairs import PairDischarge
 
     @contextlib.contextmanager
     def patched():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(RaceChecker, "_solve", _one_shot_solve)
-            mp.setattr(StreamChecker, "_solve", _one_shot_solve)
+            mp.setattr(PairDischarge, "_solve", _one_shot_solve)
             yield
 
     return patched

@@ -4,7 +4,7 @@ by other analysis code must miss or cold-start."""
 import repro
 from repro import code_digest
 from repro.kernels.streams import get_stream_case
-from repro.service import JobSpec, cache_key, swarm_cache_key
+from repro.service import JobSpec, cache_key, content_key, swarm_cache_key
 from repro.smt.persist import SolverArtifactStore
 from repro.streams import StreamChecker
 
@@ -50,6 +50,15 @@ def test_changed_code_changes_every_key(monkeypatch):
     after = _keys()
     assert all(before[name] != after[name] for name in before), \
         {name: before[name] == after[name] for name in before}
+
+
+def test_equal_material_under_two_kinds_gives_two_keys():
+    # job verdicts, swarm verdicts and stream launches/pairs share one
+    # result cache: the kind tag keeps their keys apart
+    material = {"form": "f" * 64, "config": {"engine": "sesa"}}
+    job = content_key("job", **material)
+    assert job == content_key("job", **dict(reversed(material.items())))
+    assert job != content_key("stream_launch", **material)
 
 
 def test_changed_code_cold_starts_a_persisted_artifact(
