@@ -77,10 +77,10 @@ def run_suites(pruning):
         per_suite_queries[suite] = 0
         for kernel in SUITES[suite]:
             spec = spec_from_kernel(kernel, suite=suite)
-            spec.pair_pruning = pruning
+            spec.config.pair_pruning = pruning
             # this ablation measures solver-path pruning counters: keep
             # the static tier out so every kernel reaches the solver
-            spec.static_tier = False
+            spec.config.static_tier = False
             tool = SESA.from_source(spec.source, spec.kernel_name)
             report = tool.check(spec.launch_config())
             verdicts[spec.job_id] = _signature(report)

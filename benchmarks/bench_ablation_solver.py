@@ -44,7 +44,7 @@ def run_suites():
             spec = spec_from_kernel(kernel, suite=suite)
             # this bench measures the solver stack: keep the static
             # tier out so every kernel actually reaches the solver
-            spec.static_tier = False
+            spec.config.static_tier = False
             tool = SESA.from_source(spec.source, spec.kernel_name)
             cs = tool.check(spec.launch_config()).check_stats
             if cs is None:

@@ -53,10 +53,10 @@ verdicts = {}
 for suite in ("paper", "reductions"):
     for kernel in SUITES[suite]:
         spec = spec_from_kernel(kernel, suite=suite)
-        spec.solver_cache_dir = sys.argv[1]
+        spec.config.solver_cache_dir = sys.argv[1]
         # warm starts only exist on the solver path: keep the static
         # tier out so every kernel produces solver artifacts
-        spec.static_tier = False
+        spec.config.static_tier = False
         tool = SESA.from_source(spec.source, spec.kernel_name)
         report = tool.check(spec.launch_config())
         verdicts[spec.job_id] = [

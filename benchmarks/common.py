@@ -135,12 +135,12 @@ def run_suite(kernels: Sequence[Kernel], engine: str = "sesa",
     for kernel in kernels:
         spec = spec_from_kernel(kernel, engine=engine, suite="bench")
         if engine == "sesa":
-            spec.time_budget_seconds = timeout or SESA_TIME_BUDGET
+            spec.config.time_budget_seconds = timeout or SESA_TIME_BUDGET
         else:
-            spec.time_budget_seconds = timeout or GKLEEP_TIME_BUDGET
-            spec.max_flows = GKLEEP_FLOW_BUDGET
-            spec.max_steps = GKLEEP_STEP_BUDGET
-            spec.max_loop_splits = GKLEEP_FLOW_BUDGET
+            spec.config.time_budget_seconds = timeout or GKLEEP_TIME_BUDGET
+            spec.config.max_flows = GKLEEP_FLOW_BUDGET
+            spec.config.max_steps = GKLEEP_STEP_BUDGET
+            spec.config.max_loop_splits = GKLEEP_FLOW_BUDGET
         specs.append(spec)
     sched = Scheduler(
         max_workers=jobs,
@@ -154,7 +154,7 @@ def run_suite(kernels: Sequence[Kernel], engine: str = "sesa",
         out[spec.meta["kernel"]] = RunResult(
             engine="SESA" if engine == "sesa" else "GKLEEp",
             kernel=spec.meta["kernel"],
-            threads=spec.total_threads,
+            threads=spec.config.total_threads,
             seconds=verdict.get("elapsed_seconds", job.elapsed_seconds),
             flows=verdict.get("flows", 0),
             timed_out=(job.status == "timeout"

@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from .core import GKLEE, GKLEEp, SESA, LaunchConfig
@@ -75,38 +76,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="MiniCUDA source file")
         p.add_argument("--kernel", help="kernel name (if several)")
 
-    check = sub.add_parser("check", help="run the race/OOB analysis")
-    common(check)
-    check.add_argument("--grid", type=_dim3, default=(1, 1, 1),
+    def launch_options(p: argparse.ArgumentParser) -> None:
+        """The launch settings :func:`_config_from` reads."""
+        g = p.add_argument_group("launch configuration")
+        g.add_argument("--grid", type=_dim3, default=(1, 1, 1),
                        metavar="X[,Y[,Z]]")
-    check.add_argument("--block", type=_dim3, default=(64, 1, 1),
+        g.add_argument("--block", type=_dim3, default=(64, 1, 1),
                        metavar="X[,Y[,Z]]")
-    check.add_argument("--engine", choices=["sesa", "gkleep", "gklee"],
-                       default="sesa")
-    check.add_argument("--warp-size", type=int, default=32)
-    check.add_argument("--lockstep", action="store_true",
+        g.add_argument("--warp-size", type=int, default=32)
+        g.add_argument("--lockstep", action="store_true",
                        help="assume SIMD lock-step ordering within warps")
-    check.add_argument("--no-oob", action="store_true",
+        g.add_argument("--no-oob", action="store_true",
                        help="disable out-of-bounds checking")
-    check.add_argument("--symbolic", action="append", default=None,
+        g.add_argument("--symbolic", action="append", default=None,
                        metavar="PARAM",
                        help="force PARAM symbolic (repeatable; default: "
                             "taint-inferred)")
-    check.add_argument("--set", action="append", default=[],
+        g.add_argument("--set", action="append", default=[],
                        metavar="PARAM=VALUE",
                        help="concrete scalar value (repeatable)")
-    check.add_argument("--array-size", action="append", default=[],
+        g.add_argument("--array-size", action="append", default=[],
                        metavar="PARAM=COUNT",
                        help="element count for a pointer param")
-    check.add_argument("--time-budget", type=float, default=None,
-                       metavar="SECONDS")
-    check.add_argument("--no-pruning", action="store_true",
-                       help="disable the pre-solver pruning pipeline "
-                            "(summarization, bucketing, pair memo)")
-    check.add_argument("--no-static-tier", action="store_true",
-                       help="skip the solver-less static pre-screening "
-                            "tier and run the parametric engine "
-                            "directly (the exact single-tier pipeline)")
+        g.add_argument("--time-budget", type=float, default=None,
+                       metavar="SECONDS",
+                       help="wall-clock budget (for repair: the whole "
+                            "loop)")
+
+    check = sub.add_parser("check", help="run the race/OOB analysis")
+    common(check)
+    launch_options(check)
+    check.add_argument("--engine", choices=["sesa", "gkleep", "gklee"],
+                       default="sesa")
     check.add_argument("--swarm", type=int, default=None, metavar="N",
                        help="split the race check into N shard jobs "
                             "run in parallel worker processes and "
@@ -130,27 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile", help="profile one analysis run by pipeline layer")
     common(prof)
-    prof.add_argument("--grid", type=_dim3, default=(1, 1, 1),
-                      metavar="X[,Y[,Z]]")
-    prof.add_argument("--block", type=_dim3, default=(64, 1, 1),
-                      metavar="X[,Y[,Z]]")
+    launch_options(prof)
     prof.add_argument("--engine", choices=["sesa", "gkleep", "gklee"],
                       default="sesa")
-    prof.add_argument("--warp-size", type=int, default=32)
-    prof.add_argument("--lockstep", action="store_true",
-                      help="assume SIMD lock-step ordering within warps")
-    prof.add_argument("--no-oob", action="store_true",
-                      help="disable out-of-bounds checking")
-    prof.add_argument("--symbolic", action="append", default=None,
-                      metavar="PARAM")
-    prof.add_argument("--set", action="append", default=[],
-                      metavar="PARAM=VALUE")
-    prof.add_argument("--array-size", action="append", default=[],
-                      metavar="PARAM=COUNT")
-    prof.add_argument("--time-budget", type=float, default=None,
-                      metavar="SECONDS")
-    prof.add_argument("--no-pruning", action="store_true")
-    prof.add_argument("--no-static-tier", action="store_true")
     prof.add_argument("--solver-cache", default=None, metavar="DIR",
                       help="profile with a warm-start artifact cache")
     prof.add_argument("--top", type=int, default=10, metavar="N",
@@ -162,29 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "repair", help="synthesize a verified, minimal barrier fix")
     common(rep)
-    rep.add_argument("--grid", type=_dim3, default=(1, 1, 1),
-                     metavar="X[,Y[,Z]]")
-    rep.add_argument("--block", type=_dim3, default=(64, 1, 1),
-                     metavar="X[,Y[,Z]]")
-    rep.add_argument("--warp-size", type=int, default=32)
-    rep.add_argument("--lockstep", action="store_true",
-                     help="assume SIMD lock-step ordering within warps")
-    rep.add_argument("--no-oob", action="store_true",
-                     help="disable out-of-bounds checking in the final "
-                          "verification run")
-    rep.add_argument("--symbolic", action="append", default=None,
-                     metavar="PARAM",
-                     help="force PARAM symbolic (repeatable; default: "
-                          "taint-inferred)")
-    rep.add_argument("--set", action="append", default=[],
-                     metavar="PARAM=VALUE",
-                     help="concrete scalar value (repeatable)")
-    rep.add_argument("--array-size", action="append", default=[],
-                     metavar="PARAM=COUNT",
-                     help="element count for a pointer param")
-    rep.add_argument("--time-budget", type=float, default=None,
-                     metavar="SECONDS",
-                     help="wall-clock budget for the whole repair loop")
+    launch_options(rep)
     rep.add_argument("--max-iterations", type=int, default=8, metavar="N",
                      help="CEGIS iteration budget (default 8)")
     rep.add_argument("--remove-redundant", action="store_true",
@@ -244,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default <cache-dir>/trace.jsonl)")
     batch.add_argument("--limit", type=int, default=None, metavar="N",
                        help="only run the first N jobs of the corpus")
-    batch.add_argument("--no-pruning", action="store_true",
-                       help="disable the pre-solver pruning pipeline "
-                            "(summarization, bucketing, pair memo)")
-    batch.add_argument("--no-static-tier", action="store_true",
-                       help="skip the solver-less static pre-screening "
-                            "tier on every job")
     batch.add_argument("--repair", action="store_true",
                        help="run the barrier-repair loop on every racy "
                             "sesa job and record the synthesized fix")
@@ -391,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--time-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole program")
-    stream.add_argument("--no-pruning", action="store_true",
-                        help="disable footprint/stride pruning of "
-                             "cross-launch access pairs")
-    stream.add_argument("--no-static-tier", action="store_true",
-                        help="skip the static pre-screening tier for "
-                             "the per-launch checks")
     stream.add_argument("--solver-cache", default=None, metavar="DIR",
                         help="warm-start solver artifact cache "
                              "(a pure accelerator)")
@@ -427,6 +376,7 @@ def _parse_kv(pairs: List[str], what: str) -> dict:
 
 
 def _config_from(args) -> LaunchConfig:
+    """The launch configuration of ``check``/``profile``/``repair``."""
     return LaunchConfig(
         grid_dim=args.grid, block_dim=args.block,
         warp_size=args.warp_size, warp_lockstep=args.lockstep,
@@ -436,8 +386,6 @@ def _config_from(args) -> LaunchConfig:
         scalar_values=_parse_kv(args.set, "--set"),
         array_sizes=_parse_kv(args.array_size, "--array-size"),
         time_budget_seconds=args.time_budget,
-        pair_pruning=not args.no_pruning,
-        static_tier=not getattr(args, "no_static_tier", False),
         solver_cache_dir=getattr(args, "solver_cache", None))
 
 
@@ -483,17 +431,7 @@ def cmd_check(args) -> int:
         spec = JobSpec(
             job_id=os.path.basename(args.file), source=source,
             kernel_name=args.kernel, engine=args.engine,
-            grid_dim=args.grid, block_dim=args.block,
-            warp_size=args.warp_size, warp_lockstep=args.lockstep,
-            check_oob=not args.no_oob,
-            symbolic_inputs=(list(args.symbolic)
-                             if args.symbolic is not None else None),
-            scalar_values=_parse_kv(args.set, "--set"),
-            array_sizes=_parse_kv(args.array_size, "--array-size"),
-            time_budget_seconds=args.time_budget,
-            pair_pruning=not args.no_pruning,
-            static_tier=not args.no_static_tier,
-            solver_cache_dir=args.solver_cache)
+            config=_config_from(args))
         try:
             spec.validate()
         except JobValidationError as exc:
@@ -703,14 +641,8 @@ def cmd_repair(args) -> int:
     """
     from .repair import repair_source
     source = _read_source(args.file)
-    config = LaunchConfig(
-        grid_dim=args.grid, block_dim=args.block,
-        warp_size=args.warp_size, warp_lockstep=args.lockstep,
-        check_oob=not args.no_oob,
-        symbolic_inputs=set(args.symbolic) if args.symbolic is not None
-        else None,
-        scalar_values=_parse_kv(args.set, "--set"),
-        array_sizes=_parse_kv(args.array_size, "--array-size"))
+    # the budget bounds the whole loop, not each re-check
+    config = replace(_config_from(args), time_budget_seconds=None)
     result = repair_source(
         source, config=config, kernel_name=args.kernel,
         max_iterations=args.max_iterations,
@@ -816,12 +748,6 @@ def cmd_batch(args) -> int:
             print("repro: --limit must be >= 0", file=sys.stderr)
             return 2
         specs = specs[:args.limit]
-    if args.no_pruning:
-        for spec in specs:
-            spec.pair_pruning = False
-    if args.no_static_tier:
-        for spec in specs:
-            spec.static_tier = False
     if args.repair:
         for spec in specs:
             spec.repair = True
@@ -1185,10 +1111,8 @@ def cmd_stream(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     checker = StreamChecker(
         program, cache=cache, telemetry=telemetry,
-        time_budget_seconds=args.time_budget,
-        pruning=not args.no_pruning,
-        static_tier=not args.no_static_tier,
-        solver_cache_dir=args.solver_cache)
+        config=LaunchConfig(time_budget_seconds=args.time_budget,
+                            solver_cache_dir=args.solver_cache))
     report = checker.check()
     if telemetry is not None:
         telemetry.close()

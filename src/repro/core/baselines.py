@@ -50,7 +50,6 @@ class GKLEEp:
         return {arg.name for arg in self.kernel.args}
 
     def check(self, config: Optional[LaunchConfig] = None,
-              solver_budget: Optional[int] = 200_000,
               max_reports: int = 16) -> AnalysisReport:
         config = config or LaunchConfig()
         start = time.perf_counter()
@@ -60,7 +59,7 @@ class GKLEEp:
         executor = Executor(self.module, self.kernel, config,
                             mode="gkleep", sink_value_ids=None)
         result = executor.run()
-        checker = RaceChecker(result, solver_budget=solver_budget,
+        checker = RaceChecker(result, solver_budget=config.conflict_budget,
                               max_reports=max_reports).check()
         if checker.timed_out:
             result.timed_out = True

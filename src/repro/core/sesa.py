@@ -78,7 +78,6 @@ class SESA:
     # ------------------------------------------------------------------
 
     def check(self, config: Optional[LaunchConfig] = None,
-              solver_budget: Optional[int] = 200_000,
               max_reports: int = 16) -> AnalysisReport:
         """Full SESA analysis: taint-guided symbolisation, parametric
         execution with flow combining, race + OOB checking."""
@@ -90,12 +89,7 @@ class SESA:
         # escalation falls through to the exact single-tier pipeline
         static_seconds = 0.0
         static_reason: Optional[str] = None
-        if getattr(config, "static_tier", True) and solver_budget != 200_000:
-            # a caller overriding the per-query conflict budget is
-            # studying solver behaviour; a solver-less verdict would
-            # defeat that (mirrors the config-level prescreen check)
-            static_reason = "solver budget override"
-        elif getattr(config, "static_tier", True):
+        if config.static_tier:
             from ..static import run_static_tier
             outcome = run_static_tier(
                 self.module, self.kernel, config,
@@ -125,9 +119,7 @@ class SESA:
             self.module, self.kernel, config, mode="sesa",
             sink_value_ids=self.taint.sink_value_ids)
         result = executor.run()
-        if config.solver_conflict_budget is not None:
-            solver_budget = config.solver_conflict_budget
-        checker = RaceChecker(result, solver_budget=solver_budget,
+        checker = RaceChecker(result, solver_budget=config.conflict_budget,
                               max_reports=max_reports).check()
         checker.stats.static_seconds = static_seconds
         checker.stats.static_bail_reason = static_reason

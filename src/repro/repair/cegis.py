@@ -206,26 +206,14 @@ class RepairEngine:
         # repair iterations target races; OOB checking (not fixable by
         # barriers) is deferred to the final from-source verification,
         # which runs the user's config unmodified
-        self.check_config = self._copy_config(self.user_config,
-                                              check_oob=False)
+        self.check_config = replace(self.user_config.copy(),
+                                    check_oob=False)
         if self.check_config.symbolic_inputs is None:
             self.check_config.symbolic_inputs = {
                 name for name, v in self.taint.verdicts.items()
                 if v.is_pointer and v.flows_into_address}
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _copy_config(config: LaunchConfig, **overrides) -> LaunchConfig:
-        return replace(
-            config,
-            symbolic_inputs=(set(config.symbolic_inputs)
-                             if config.symbolic_inputs is not None else None),
-            scalar_values=dict(config.scalar_values),
-            array_sizes=dict(config.array_sizes),
-            array_values={k: list(v) for k, v in config.array_values.items()},
-            assumptions=list(config.assumptions),
-            **overrides)
 
     def _recheck(self, res: RepairResult):
         """Execute + race-check the current IR on the shared sessions."""
@@ -388,8 +376,8 @@ class RepairEngine:
         # scratch at the user's launch config (lazy import — repro.core
         # re-exports this package)
         from ..core.sesa import check_source
-        report = check_source(patched, config=self._copy_config(
-            self.user_config), kernel_name=self.kernel_name)
+        report = check_source(patched, config=self.user_config.copy(),
+                              kernel_name=self.kernel_name)
         res.verification = report.to_dict()
         diverged = bool(report.execution
                         and self._diverged(report.execution))

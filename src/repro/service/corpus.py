@@ -20,6 +20,7 @@ from ..kernels import (
     ALL_KERNELS, DIVERGENT_KERNELS, Kernel, LONESTAR_KERNELS,
     PAPER_EXAMPLES, PARBOIL_KERNELS, REDUCTION_FAMILY, SDK_KERNELS,
 )
+from ..sym.config import LaunchConfig
 from .jobs import JobSpec
 
 #: suite name → kernel list, mirroring the paper's tables
@@ -43,12 +44,7 @@ def spec_from_kernel(kernel: Kernel, engine: str = "sesa",
         source=kernel.source,
         kernel_name=kernel.kernel_name,
         engine=engine,
-        grid_dim=kernel.grid_dim,
-        block_dim=kernel.block_dim,
-        check_oob=not kernel.disable_oob,
-        scalar_values=dict(kernel.scalar_values),
-        array_sizes=dict(kernel.array_sizes),
-        max_loop_splits=kernel.max_loop_splits,
+        config=kernel.launch_config(),
         needs_concrete_graph=kernel.table.startswith("Table III"),
         meta={"kernel": kernel.name, "suite": suite, "table": kernel.table,
               "expected_issues": list(kernel.expected_issues)})
@@ -98,11 +94,13 @@ def builtin_jobs(suite: Optional[str] = None,
 
 def file_job(path: str, engine: str = "sesa",
              root: Optional[str] = None, **config) -> JobSpec:
-    """A spec for one MiniCUDA source file."""
+    """A spec for one MiniCUDA source file; *config* holds
+    :class:`~repro.sym.LaunchConfig` keyword arguments."""
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     job_id = os.path.relpath(path, root) if root else path
-    return JobSpec(job_id=job_id, source=source, engine=engine, **config)
+    return JobSpec(job_id=job_id, source=source, engine=engine,
+                   config=LaunchConfig(**config))
 
 
 def directory_jobs(path: str, engine: str = "sesa",

@@ -14,9 +14,9 @@ as JSON, and the telemetry trace replay them later.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-Dim3 = Tuple[int, int, int]
+from ..sym.config import LaunchConfig
 
 
 class JobStatus:
@@ -69,58 +69,27 @@ ENGINE_NAMES = ("sesa", "gkleep", "gklee")
 JOB_KINDS = ("kernel", "stream")
 
 
-def _dim3(value) -> Dim3:
-    if isinstance(value, int):
-        return (value, 1, 1)
-    t = tuple(int(v) for v in value)
-    while len(t) < 3:
-        t += (1,)
-    return t  # type: ignore[return-value]
-
-
 @dataclass
 class JobSpec:
-    """One schedulable kernel analysis."""
+    """One schedulable analysis: a kernel (or stream program) and the
+    :class:`~repro.sym.LaunchConfig` to check it under.
+
+    The wire form is flat: :meth:`to_dict` merges the config's wire
+    fields (:meth:`LaunchConfig.to_dict`) with the job-level keys, so
+    HTTP clients and stored job rows need no nesting.
+    """
 
     job_id: str
     source: str
     kernel_name: Optional[str] = None
     engine: str = "sesa"
-    grid_dim: Dim3 = (1, 1, 1)
-    block_dim: Dim3 = (64, 1, 1)
-    warp_size: int = 32
-    warp_lockstep: bool = False
-    check_oob: bool = True
-    symbolic_inputs: Optional[List[str]] = None
-    scalar_values: Dict[str, int] = field(default_factory=dict)
-    array_sizes: Dict[str, int] = field(default_factory=dict)
-    max_loop_splits: Optional[int] = None
-    max_flows: Optional[int] = None
-    max_steps: Optional[int] = None
-    #: soft (in-engine) wall-clock budget; the engine stops gracefully
-    time_budget_seconds: Optional[float] = None
-    #: pre-solver pruning pipeline (summarization, disjointness buckets,
-    #: pair memo); False forces raw enumeration for differential runs
-    pair_pruning: bool = True
-    #: static pre-screening tier (tier 0); False restores the exact
-    #: single-tier pipeline for differential runs
-    static_tier: bool = True
+    #: every launch setting of the job; a stream job's per-launch
+    #: settings come from its program instead
+    config: LaunchConfig = field(default_factory=LaunchConfig)
     #: also run the CEGIS barrier-repair loop and attach its outcome
     repair: bool = False
     #: Table III kernels need the synthetic CSR graph attached
     needs_concrete_graph: bool = False
-    #: swarm shard descriptor (serialised ShardSelector): restrict the
-    #: race check to one partition of the candidate-pair space. Part
-    #: of the cache fingerprint — a shard verdict must never collide
-    #: with the monolithic verdict of the same kernel.
-    shard: Optional[dict] = None
-    #: per-query SAT conflict budget override (portfolio variants)
-    solver_conflict_budget: Optional[int] = None
-    #: directory for cross-run solver warm-start artifacts (see
-    #: :mod:`repro.smt.persist`). Deliberately NOT part of
-    #: :meth:`config_fingerprint`: warm starts are a pure accelerator
-    #: and must never influence which cache entry a verdict lands in.
-    solver_cache_dir: Optional[str] = None
     #: what kind of work this spec describes (see :data:`JOB_KINDS`);
     #: ``stream`` jobs run a whole multi-launch program through
     #: :class:`repro.streams.StreamChecker` instead of one kernel
@@ -131,18 +100,15 @@ class JobSpec:
     #: free-form passthrough (suite/table tags, test fixtures, ...)
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.grid_dim = _dim3(self.grid_dim)
-        self.block_dim = _dim3(self.block_dim)
-
     def validate(self) -> None:
         """Reject specs that can never run (:class:`JobValidationError`).
 
         Catches the malformed-input class of failures *before* a worker
-        process is spent on them: unknown engines, empty sources,
-        degenerate launch geometry, non-integer value maps, negative
-        budgets. Anything that passes here can still fail analysis, but
-        it fails as a real analysis error, not an input error.
+        process is spent on them: unknown engines, empty sources, the
+        config's own checks (:meth:`LaunchConfig.validate`), stream
+        specs that set a per-launch setting. Anything that passes here
+        can still fail analysis, but it fails as a real analysis error,
+        not an input error.
         """
         def bad(reason: str) -> None:
             raise JobValidationError(
@@ -156,44 +122,10 @@ class JobSpec:
                 f"(expected one of {', '.join(ENGINE_NAMES)})")
         if not isinstance(self.source, str) or not self.source.strip():
             bad("source is empty")
-        for name, dim in (("grid_dim", self.grid_dim),
-                          ("block_dim", self.block_dim)):
-            if any(not isinstance(v, int) or v < 1 for v in dim):
-                bad(f"{name} {dim!r} must be positive integers")
-        if not isinstance(self.warp_size, int) or self.warp_size < 1:
-            bad(f"warp_size {self.warp_size!r} must be a positive integer")
-        for what, mapping in (("scalar_values", self.scalar_values),
-                              ("array_sizes", self.array_sizes)):
-            for key, value in mapping.items():
-                if not isinstance(key, str) \
-                        or not isinstance(value, int) \
-                        or isinstance(value, bool):
-                    bad(f"{what}[{key!r}] = {value!r} must map a "
-                        f"parameter name to an integer")
-        for what, value in (("max_loop_splits", self.max_loop_splits),
-                            ("max_flows", self.max_flows),
-                            ("max_steps", self.max_steps)):
-            if value is not None \
-                    and (not isinstance(value, int) or value < 1):
-                bad(f"{what} {value!r} must be a positive integer")
-        if self.time_budget_seconds is not None \
-                and (not isinstance(self.time_budget_seconds, (int, float))
-                     or self.time_budget_seconds <= 0):
-            bad(f"time_budget_seconds {self.time_budget_seconds!r} "
-                f"must be positive")
-        if self.shard is not None:
-            from ..sym.swarm import ShardSelector
-            try:
-                ShardSelector.from_dict(self.shard)
-            except ValueError as exc:
-                bad(str(exc))
-        if self.solver_conflict_budget is not None \
-                and (not isinstance(self.solver_conflict_budget, int)
-                     or isinstance(self.solver_conflict_budget, bool)
-                     or self.solver_conflict_budget < 0):
-            bad(f"solver_conflict_budget "
-                f"{self.solver_conflict_budget!r} must be a "
-                f"non-negative integer")
+        try:
+            self.config.validate()
+        except ValueError as exc:
+            bad(str(exc))
         if self.kind not in JOB_KINDS:
             bad(f"unknown kind {self.kind!r} "
                 f"(expected one of {', '.join(JOB_KINDS)})")
@@ -204,98 +136,47 @@ class JobSpec:
             if not isinstance(self.stream_program, dict) \
                     or not self.stream_program.get("steps"):
                 bad("stream jobs need a stream_program with steps")
+            from ..streams.checker import check_base_config
+            try:
+                check_base_config(self.config)
+            except ValueError as exc:
+                bad(str(exc))
         elif self.stream_program is not None:
             bad("stream_program is only valid with kind='stream'")
 
-    @property
-    def total_threads(self) -> int:
-        gx, gy, gz = self.grid_dim
-        bx, by, bz = self.block_dim
-        return gx * gy * gz * bx * by * bz
-
-    def launch_config(self):
-        """Materialise the :class:`repro.sym.LaunchConfig` (worker side)."""
-        from ..sym import LaunchConfig
-        config = LaunchConfig(
-            grid_dim=self.grid_dim, block_dim=self.block_dim,
-            warp_size=self.warp_size, warp_lockstep=self.warp_lockstep,
-            check_oob=self.check_oob,
-            symbolic_inputs=(set(self.symbolic_inputs)
-                             if self.symbolic_inputs is not None else None),
-            scalar_values=dict(self.scalar_values),
-            array_sizes=dict(self.array_sizes),
-            time_budget_seconds=self.time_budget_seconds,
-            pair_pruning=self.pair_pruning,
-            static_tier=self.static_tier,
-            shard=(dict(self.shard) if self.shard is not None else None),
-            solver_conflict_budget=self.solver_conflict_budget,
-            solver_cache_dir=self.solver_cache_dir)
-        if self.max_loop_splits is not None:
-            config.max_loop_splits = self.max_loop_splits
-        if self.max_flows is not None:
-            config.max_flows = self.max_flows
-        if self.max_steps is not None:
-            config.max_steps = self.max_steps
+    def launch_config(self) -> LaunchConfig:
+        """A fresh copy of :attr:`config` for one check (worker side):
+        engines write into the config they are given."""
+        config = self.config.copy()
         if self.needs_concrete_graph:
             from ..kernels.lonestar import attach_concrete_graph
             attach_concrete_graph(config)
         return config
 
-    def config_fingerprint(self) -> dict:
-        """The configuration facts that determine the verdict — the
-        cache key hashes this dict (canonical: sorted keys, no floats
-        that vary run-to-run, no job identity)."""
-        out = {
-            "engine": self.engine,
-            "kernel_name": self.kernel_name,
-            "grid_dim": list(self.grid_dim),
-            "block_dim": list(self.block_dim),
-            "warp_size": self.warp_size,
-            "warp_lockstep": self.warp_lockstep,
-            "check_oob": self.check_oob,
-            "symbolic_inputs": (sorted(self.symbolic_inputs)
-                                if self.symbolic_inputs is not None
-                                else None),
-            "scalar_values": dict(sorted(self.scalar_values.items())),
-            "array_sizes": dict(sorted(self.array_sizes.items())),
-            "max_loop_splits": self.max_loop_splits,
-            "max_flows": self.max_flows,
-            "max_steps": self.max_steps,
-            "needs_concrete_graph": self.needs_concrete_graph,
-            # the budgets can turn a verdict into a T.O. verdict, so
-            # they are part of the key
-            "time_budget_seconds": self.time_budget_seconds,
-            # pruning shouldn't change verdicts, but the point of the
-            # escape hatch is to verify exactly that — so the two paths
-            # must not share cache entries
-            "pair_pruning": self.pair_pruning,
-            # the tiers must agree on verdicts (the equivalence suite
-            # enforces it), but the escape hatch exists to prove that —
-            # so the two pipelines must not share cache entries
-            "static_tier": self.static_tier,
-            # a repair run produces strictly more output than a plain
-            # check, so the two must not share cache entries
-            "repair": self.repair,
-            # a shard's verdict covers one partition only — it must
-            # never be served as (or from) the whole kernel's verdict
-            "shard": (dict(self.shard)
-                      if self.shard is not None else None),
-            "solver_conflict_budget": self.solver_conflict_budget,
-        }
+    def _job_keys(self) -> dict:
+        out = {"engine": self.engine, "kernel_name": self.kernel_name,
+               "needs_concrete_graph": self.needs_concrete_graph,
+               # a repair run produces strictly more output than a
+               # plain check, so the two must not share cache entries
+               "repair": self.repair}
         if self.kind != "kernel":
-            # added conditionally so every pre-existing kernel job keeps
-            # its exact cache key; a stream job's launch sequence is
-            # verdict-determining, so it must be part of the key
+            # a stream job's launch sequence is verdict-determining
             out["kind"] = self.kind
             out["stream_program"] = self.stream_program
         return out
 
+    def config_fingerprint(self) -> dict:
+        """The facts that determine the verdict — the cache key hashes
+        this dict: :meth:`LaunchConfig.fingerprint` plus the job-level
+        keys (no job identity, no accelerator)."""
+        out = self.config.fingerprint()
+        out.update(self._job_keys())
+        return out
+
     def to_dict(self) -> dict:
-        out = dict(self.config_fingerprint())
-        out.update(job_id=self.job_id, source=self.source,
-                   time_budget_seconds=self.time_budget_seconds,
-                   solver_cache_dir=self.solver_cache_dir,
-                   meta=dict(self.meta))
+        out = self.config.to_dict()
+        out.update(self._job_keys(), job_id=self.job_id,
+                   source=self.source, meta=dict(self.meta))
         return out
 
     @classmethod
@@ -310,42 +191,21 @@ class JobSpec:
                 f"invalid job spec: missing field(s) "
                 f"{', '.join(missing)}")
         try:
-            return cls._from_dict(data)
-        except JobValidationError:
-            raise
+            return cls(
+                job_id=data["job_id"], source=data["source"],
+                kernel_name=data.get("kernel_name"),
+                engine=data.get("engine", "sesa"),
+                config=LaunchConfig.from_dict(data),
+                repair=data.get("repair", False),
+                needs_concrete_graph=data.get("needs_concrete_graph",
+                                              False),
+                kind=data.get("kind", "kernel"),
+                stream_program=data.get("stream_program"),
+                meta=dict(data.get("meta") or {}))
         except (TypeError, ValueError) as exc:
             raise JobValidationError(
                 f"invalid job spec {data.get('job_id')!r}: {exc}") \
                 from None
-
-    @classmethod
-    def _from_dict(cls, data: dict) -> "JobSpec":
-        return cls(
-            job_id=data["job_id"], source=data["source"],
-            kernel_name=data.get("kernel_name"),
-            engine=data.get("engine", "sesa"),
-            grid_dim=_dim3(data.get("grid_dim", (1, 1, 1))),
-            block_dim=_dim3(data.get("block_dim", (64, 1, 1))),
-            warp_size=data.get("warp_size", 32),
-            warp_lockstep=data.get("warp_lockstep", False),
-            check_oob=data.get("check_oob", True),
-            symbolic_inputs=data.get("symbolic_inputs"),
-            scalar_values=dict(data.get("scalar_values") or {}),
-            array_sizes=dict(data.get("array_sizes") or {}),
-            max_loop_splits=data.get("max_loop_splits"),
-            max_flows=data.get("max_flows"),
-            max_steps=data.get("max_steps"),
-            time_budget_seconds=data.get("time_budget_seconds"),
-            pair_pruning=data.get("pair_pruning", True),
-            static_tier=data.get("static_tier", True),
-            repair=data.get("repair", False),
-            needs_concrete_graph=data.get("needs_concrete_graph", False),
-            shard=data.get("shard"),
-            solver_conflict_budget=data.get("solver_conflict_budget"),
-            solver_cache_dir=data.get("solver_cache_dir"),
-            kind=data.get("kind", "kernel"),
-            stream_program=data.get("stream_program"),
-            meta=dict(data.get("meta") or {}))
 
 
 @dataclass

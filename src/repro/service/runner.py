@@ -64,7 +64,7 @@ def execute_job(spec_dict: dict) -> dict:
             outcome = repair_source(
                 spec.source, config=spec.launch_config(),
                 kernel_name=spec.kernel_name,
-                time_budget_seconds=spec.time_budget_seconds)
+                time_budget_seconds=spec.config.time_budget_seconds)
             repair = outcome.to_dict()
         return {
             "status": JobStatus.DONE,
@@ -122,16 +122,10 @@ def _execute_stream_job(spec: JobSpec, start: float) -> dict:
             dict(spec.stream_program or {}, source=spec.source,
                  name=(spec.stream_program or {}).get("name")
                  or spec.job_id))
-        cache = ResultCache(spec.solver_cache_dir) \
-            if spec.solver_cache_dir else None
-        checker = StreamChecker(
-            program, cache=cache,
-            time_budget_seconds=spec.time_budget_seconds,
-            pruning=spec.pair_pruning,
-            static_tier=spec.static_tier,
-            check_oob=spec.check_oob,
-            solver_cache_dir=spec.solver_cache_dir)
-        report = checker.check()
+        cache_dir = spec.config.solver_cache_dir
+        cache = ResultCache(cache_dir) if cache_dir else None
+        report = StreamChecker(program, cache=cache,
+                               config=spec.launch_config()).check()
     except StreamProgramError as exc:
         raise JobValidationError(
             f"invalid job spec {spec.job_id!r}: {exc}") from None

@@ -283,8 +283,8 @@ def run_batch(specs: Sequence[JobSpec], *,
         # explicit per-spec dirs win (and None stays None when the
         # batch has no cache at all)
         for spec in specs:
-            if spec.solver_cache_dir is None:
-                spec.solver_cache_dir = cache_dir
+            if spec.config.solver_cache_dir is None:
+                spec.config.solver_cache_dir = cache_dir
     cache = ResultCache(cache_dir) if cache_dir else None
     with Telemetry(trace_path) as telemetry:
         sched = Scheduler(max_workers=max_workers,

@@ -76,7 +76,7 @@ def plan_shard_specs(spec: JobSpec, num_shards: int,
         raise SwarmPlanError(
             f"swarm checking supports the sesa engine only "
             f"(got {spec.engine!r})")
-    if spec.shard is not None:
+    if spec.config.shard is not None:
         raise SwarmPlanError("cannot re-shard an existing shard job")
     if spec.repair:
         raise SwarmPlanError("repair jobs cannot be sharded")

@@ -33,8 +33,8 @@ from ..smt.subst import _eval_node
 from ..smt.terms import Op, Term, free_vars
 from ..sym.access import Access
 from ..sym.executor import ExecutionResult
-from ..sym.memory import MemoryObject, contains_havoc
-from ..sym.races import OOBReport, RaceChecker
+from ..sym.memory import contains_havoc
+from ..sym.races import RaceChecker
 
 #: per-side enumeration domain cap (product of variable extents)
 ENUM_CAP = 4096
@@ -209,7 +209,7 @@ class StaticAdjudicator:
             if len(rc.races) == races:
                 self.pairs_discharged += 1
         if rc.config.check_oob:
-            self._oob()
+            rc._check_oob(self._enumerate_oob)
         # assertions: the walker bails on __assert, so none exist here
         return rc
 
@@ -395,43 +395,11 @@ class StaticAdjudicator:
 
     # -- out-of-bounds -------------------------------------------------
 
-    def _oob(self) -> None:
-        """Mirror of :meth:`RaceChecker._check_oob`: same dedup, same
-        interval fast path, same report identity — the past-the-end
-        query decided by single-side enumeration."""
-        rc = self.checker
-        seen: set = set()
-        reported: set = set()
-        for access in rc.result.all_accesses():
-            if len(rc.oobs) >= rc.max_reports:
-                return
-            obj = access.obj
-            if obj.size_bytes is None:
-                continue
-            if (obj.name, access.loc) in reported:
-                continue
-            key = (id(obj), id(access.offset), access.size,
-                   id(access.cond))
-            if key in seen:
-                continue
-            seen.add(key)
-            if rc.pruning and obj.size_bytes >= access.size:
-                iv = rc._side1.ia.interval_of(access.offset)
-                if iv.hi <= obj.size_bytes - access.size:
-                    rc.stats.oob_pruned += 1
-                    continue
-            witness = self._enumerate_oob(access, obj)
-            if witness is not None:
-                reported.add((obj.name, access.loc))
-                rc.oobs.append(OOBReport(
-                    obj_name=obj.name, access=access,
-                    size_bytes=obj.size_bytes,
-                    witness=rc._witness(Model(witness),
-                                        two_threads=False)))
-                rc.stats.oob_found += 1
-
-    def _enumerate_oob(self, access: Access, obj: MemoryObject
-                       ) -> Optional[Dict[str, int]]:
+    def _enumerate_oob(self, access: Access) -> Optional[Model]:
+        """Decide the access's past-the-end query by single-side
+        enumeration (the OOB ``discharge`` hook of
+        ``RaceChecker._check_oob``); raises :class:`StaticUnknown`
+        outside the decidable fragment."""
         rc = self.checker
         fv = self._free_vars([access.cond, access.offset])
         for name in fv:
@@ -445,10 +413,11 @@ class StaticAdjudicator:
         cond, off = self._eval_terms([access.cond, access.offset], names)
         # negative when the access is wider than the object: then every
         # guard-true row overruns it
-        limit = obj.size_bytes - access.size
+        limit = access.obj.size_bytes - access.size
         for i in range(d):
             if cond[i] and off[i] > limit:
-                return {f"{n}!1": v for n, v in zip(names, tuples[i])}
+                return Model({f"{n}!1": v
+                              for n, v in zip(names, tuples[i])})
         return None
 
     # -- enumeration machinery ----------------------------------------

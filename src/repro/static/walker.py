@@ -48,7 +48,7 @@ def prescreen(kernel: ir.Function, config: LaunchConfig) -> Optional[str]:
     Cheap single pass over the instruction stream plus a few config
     checks; anything caught here bails before an executor is built.
     """
-    if getattr(config, "shard", None) is not None:
+    if config.shard is not None:
         # a swarm shard's verdict covers one ordinal partition of the
         # solver-path enumeration; the static tier has no shard notion
         return "swarm shard"

@@ -8,8 +8,10 @@ two symbolic threads stand in for the full cross product of the two
 launches' thread spaces, each drawn from its *own* launch configuration
 (grids and blocks may differ per launch).
 
-Per launch, the existing :meth:`SESA.check` pipeline runs unchanged —
-static tier, pruning, incremental sessions and warm start all apply —
+Per launch, the existing :meth:`SESA.check` pipeline runs unchanged,
+under the stream's one base :class:`~repro.sym.LaunchConfig` with the
+launch's own geometry, scalars and buffer sizes — static tier, pruning,
+warp policy, budgets and warm start all apply —
 producing the per-launch verdict *and* the global-memory access record
 the cross-launch pass consumes. Each launch's accesses are then keyed
 by the *program buffer* its pointer parameters are bound to, and every
@@ -30,8 +32,8 @@ steps the intra-launch checker uses (:mod:`repro.sym.pairs`), with one
   ``(buffer, line, line, kind)``.
 
 Caching is per *launch*, not per program: a launch's fingerprint hashes
-only its own kernel's IR and source locations (plus module globals), its
-launch geometry and the verdict-relevant flags — so re-checking a
+only its own kernel's IR and source locations (plus module globals) and
+its launch config's fingerprint — so re-checking a
 program after editing one kernel replays from the
 :class:`~repro.service.cache.ResultCache` every launch whose kernel
 neither changed nor moved, and re-solves only the edited one.
@@ -48,7 +50,7 @@ does, a witness may name infeasible input contents).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ir
@@ -65,34 +67,50 @@ from .hb import HappensBefore
 from .program import Launch, StreamProgram
 
 
+#: the settings each launch takes from the stream program (see
+#: :meth:`StreamChecker._config_for`)
+PER_LAUNCH_FIELDS = ("grid_dim", "block_dim", "symbolic_inputs",
+                     "scalar_values", "array_sizes")
+
+
+def check_base_config(config: LaunchConfig) -> None:
+    """Reject a stream's base config that sets a per-launch setting or
+    a shard (:class:`ValueError`): it would be ignored, yet hashed into
+    the job's cache key."""
+    default = LaunchConfig()
+    for name in PER_LAUNCH_FIELDS:
+        if getattr(config, name) != getattr(default, name):
+            raise ValueError(
+                f"{name} is set per launch by the stream program")
+    if config.shard is not None:
+        raise ValueError("a stream program cannot be sharded")
+
+
 def launch_fingerprint(module: ir.Module, launch: Launch,
                        config: LaunchConfig) -> str:
     """Cache key for one launch's verdict.
 
     Hashes the launch's *own* kernel IR slice (plus module globals —
     any kernel may touch them) with its instruction locations (the
-    verdict names source lines), the launch geometry, every flag that
-    can change the verdict, and :func:`repro.code_digest`. Deliberately
-    excluded: the wall-clock budget (a non-timed-out budgeted verdict
-    equals the unbudgeted one; timed-out verdicts are never cached) and
-    ``solver_cache_dir`` (a pure accelerator).
+    verdict names source lines), :func:`repro.code_digest`, and the
+    launch's config fingerprint (:meth:`LaunchConfig.fingerprint`: its
+    geometry and value maps plus every stream-wide setting). The one
+    field dropped is the wall-clock budget: a non-timed-out budgeted
+    verdict equals the unbudgeted one, and timed-out verdicts are never
+    cached.
     """
     kernel = module.get_kernel(launch.kernel)
     globals_slice = [f"{gv.name} {gv.storage_type!r} {gv.space}"
                      for gv in module.globals.values()]
     ir_slice = "\n".join(globals_slice + [function_to_str(kernel)])
+    fingerprint = config.fingerprint()
+    del fingerprint["time_budget_seconds"]
     return content_key(
         "stream_launch",
         ir=ir_slice,
         locs=instruction_locs(kernel),
         kernel=launch.kernel,
-        grid_dim=list(config.grid_dim),
-        block_dim=list(config.block_dim),
-        scalar_values=sorted(config.scalar_values.items()),
-        array_sizes=sorted(config.array_sizes.items()),
-        check_oob=config.check_oob,
-        pair_pruning=config.pair_pruning,
-        static_tier=config.static_tier)
+        config=fingerprint)
 
 
 @dataclass
@@ -358,24 +376,21 @@ class StreamChecker(PairDischarge):
 
     def __init__(self, program: StreamProgram,
                  cache=None, telemetry=None,
-                 time_budget_seconds: Optional[float] = None,
-                 pruning: bool = True,
-                 static_tier: bool = True, check_oob: bool = True,
-                 solver_cache_dir: Optional[str] = None,
-                 solver_budget: Optional[int] = 200_000,
+                 config: Optional[LaunchConfig] = None,
                  max_reports: int = 16) -> None:
-        super().__init__(solver_budget)
+        #: the stream-wide settings every launch is checked under; each
+        #: launch takes its geometry, scalars and array sizes from the
+        #: program and infers its own symbolic inputs, and
+        #: ``time_budget_seconds`` bounds the whole program
+        self.config = config or LaunchConfig()
+        check_base_config(self.config)
+        super().__init__(self.config.conflict_budget)
         self.program = program
         self.cache = cache
         if telemetry is None:
             from ..service.telemetry import Telemetry
             telemetry = Telemetry()
         self.telemetry = telemetry
-        self.time_budget_seconds = time_budget_seconds
-        self.pruning = pruning
-        self.static_tier = static_tier
-        self.check_oob = check_oob
-        self.solver_cache_dir = solver_cache_dir
         self.max_reports = max_reports
         self.module = compile_source(program.source)
         standard_pipeline().run(self.module)
@@ -396,21 +411,18 @@ class StreamChecker(PairDischarge):
         return tool
 
     def _config_for(self, launch: Launch) -> LaunchConfig:
-        config = LaunchConfig(
-            grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-            scalar_values=dict(launch.scalar_values),
-            array_sizes={param: self.program.buffers[buf]
-                         for param, buf in launch.args.items()},
-            check_oob=self.check_oob,
-            pair_pruning=self.pruning,
-            static_tier=self.static_tier,
-            solver_cache_dir=self.solver_cache_dir)
+        budget = None
         if self._deadline is not None:
             # only under a stream-level budget: an unconditional
             # per-launch budget would force the static tier to bail
-            config.time_budget_seconds = max(
-                0.001, self._deadline - time.monotonic())
-        return config
+            budget = max(0.001, self._deadline - time.monotonic())
+        return replace(
+            self.config, grid_dim=launch.grid_dim,
+            block_dim=launch.block_dim, symbolic_inputs=None,
+            scalar_values=dict(launch.scalar_values),
+            array_sizes={param: self.program.buffers[buf]
+                         for param, buf in launch.args.items()},
+            time_budget_seconds=budget)
 
     def _run_launch(self, index: int, launch: Launch,
                     need_accesses: bool
@@ -437,8 +449,7 @@ class StreamChecker(PairDischarge):
                 side = _LaunchSide(index, launch, executor.run())
             cached = True
         else:
-            report = sesa.check(config, solver_budget=self.solver_budget,
-                                max_reports=self.max_reports)
+            report = sesa.check(config, max_reports=self.max_reports)
             verdict = report.to_dict()
             if self.cache is not None and not verdict.get("timed_out"):
                 # timed-out verdicts are partial — never cache them
@@ -502,7 +513,7 @@ class StreamChecker(PairDischarge):
                     rkey = (buf, a1.loc, a2.loc, race_kind(a1, a2))
                     if rkey in reported:
                         continue
-                    if self.pruning \
+                    if self.config.pair_pruning \
                             and self._provably_disjoint(s1, a1, s2, a2):
                         self.stats.pruned_pairs += 1
                         continue
@@ -539,8 +550,9 @@ class StreamChecker(PairDischarge):
 
     def check(self) -> StreamReport:
         start = time.perf_counter()
-        if self.time_budget_seconds is not None:
-            self._deadline = time.monotonic() + self.time_budget_seconds
+        if self.config.time_budget_seconds is not None:
+            self._deadline = time.monotonic() + \
+                self.config.time_budget_seconds
         launches = self.program.launches()
         hb = HappensBefore(self.program)
         unordered = hb.unordered_pairs()

@@ -7,7 +7,7 @@ stand in for hundreds of thousands (paper §IV-A).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..smt import TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_ult
@@ -22,6 +22,52 @@ def _dim3(value) -> Dim3:
     while len(t) < 3:
         t += (1,)
     return t  # type: ignore[return-value]
+
+
+#: fields that never leave the process: the GKLEE(p) engines set
+#: ``flow_combining``, concrete array contents are attached worker-side
+#: and assumptions are terms
+OFF_WIRE = frozenset(("flow_combining", "array_values", "assumptions"))
+#: wire fields that are pure accelerators: they must never change a
+#: verdict, so no fingerprint hashes them
+ACCELERATORS = frozenset(("solver_cache_dir",))
+#: per-query SAT conflict budget when ``solver_conflict_budget`` is unset
+DEFAULT_CONFLICT_BUDGET = 200_000
+
+
+#: value types that are their own JSON form
+_PLAIN = frozenset((bool, int, float, str, list, type(None)))
+
+
+def _encode(value):
+    """The JSON form of one config value: tuples become lists, sets
+    sort, maps sort by key, a shard selector serialises itself."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is tuple:
+        return list(value)
+    if kind is dict:
+        return dict(sorted(value.items()))
+    if kind is set or kind is frozenset:
+        return sorted(value)
+    return value.to_dict()
+
+
+def _decode_dim3(value) -> Dim3:
+    return _dim3(value if isinstance(value, int)
+                 else [int(v) for v in value])
+
+
+#: wire field -> decoder of its JSON value (identity when absent)
+_DECODE = {
+    "grid_dim": _decode_dim3,
+    "block_dim": _decode_dim3,
+    "symbolic_inputs": set,
+    "scalar_values": dict,
+    "array_sizes": dict,
+    "shard": dict,
+}
 
 
 @dataclass
@@ -62,22 +108,24 @@ class LaunchConfig:
     flow_combining: bool = True
     #: pre-solver pruning pipeline: record-time access summarization,
     #: disjointness-bucketed pair generation, canonical pair memoization
-    #: and the interval OOB fast path. The escape hatch
-    #: (``--no-pruning``) exists for differential testing.
+    #: and the interval OOB fast path. ``False`` is the unpruned
+    #: reference path of the equivalence tests and the swarm
+    #: ``no-pruning`` portfolio variant.
     pair_pruning: bool = True
     #: tier 0 of the tiered checker (:mod:`repro.static`): try a
     #: solver-less static verdict first and escalate to the parametric
-    #: engine only when the kernel leaves the decidable fragment. The
-    #: escape hatch (``--no-static-tier``) restores the exact prior
-    #: single-tier pipeline.
+    #: engine only when the kernel leaves the decidable fragment.
+    #: ``False`` is the single-tier reference path the tier equivalence
+    #: tests compare against.
     static_tier: bool = True
     #: swarm mode: a serialised :class:`repro.sym.swarm.ShardSelector`
     #: (or the selector itself) restricting the race check to one
     #: shard's ordinal ranges. ``None`` checks the whole pair space.
     shard: Optional[object] = None
-    #: per-query SAT conflict budget override (portfolio variants run
-    #: the same shard under different budgets). ``None``: caller's
-    #: default (200k conflicts).
+    #: per-query SAT conflict budget (portfolio variants run the same
+    #: shard under different budgets). ``None``: the engine default,
+    #: :data:`DEFAULT_CONFLICT_BUDGET`; any other value also keeps the
+    #: solver-less static tier out of the way.
     solver_conflict_budget: Optional[int] = None
     #: directory for cross-run solver warm-start artifacts (preamble
     #: CNF snapshots, learned clauses, memoized verdicts — see
@@ -118,6 +166,102 @@ class LaunchConfig:
 
     def default_scalar(self, name: str) -> int:
         return self.scalar_values.get(name, self.total_threads)
+
+    @property
+    def conflict_budget(self) -> int:
+        """The per-query SAT conflict budget in force."""
+        if self.solver_conflict_budget is None:
+            return DEFAULT_CONFLICT_BUDGET
+        return self.solver_conflict_budget
+
+    # -- copy, wire form, fingerprint, checks --------------------------
+
+    def copy(self) -> "LaunchConfig":
+        """A copy whose top-level sets, maps and lists are its own:
+        engines write into the config they are given (SESA fills in
+        ``symbolic_inputs``, the GKLEE(p) engines ``flow_combining``)."""
+        return replace(
+            self,
+            symbolic_inputs=(set(self.symbolic_inputs)
+                             if self.symbolic_inputs is not None else None),
+            scalar_values=dict(self.scalar_values),
+            array_sizes=dict(self.array_sizes),
+            array_values=dict(self.array_values),
+            assumptions=list(self.assumptions),
+            shard=(dict(self.shard) if isinstance(self.shard, dict)
+                   else self.shard))
+
+    def to_dict(self) -> dict:
+        """The wire form: every field outside :data:`OFF_WIRE`, as JSON
+        values (:class:`repro.service.JobSpec` carries it flat)."""
+        return {name: _encode(getattr(self, name)) for name in WIRE_FIELDS}
+
+    def fingerprint(self) -> dict:
+        """The verdict-determining subset of the wire form: everything
+        but the :data:`ACCELERATORS`. Cache keys hash this dict."""
+        return {name: _encode(getattr(self, name))
+                for name in FINGERPRINT_FIELDS}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LaunchConfig":
+        """Rebuild a config from its wire form. Keys outside the wire
+        form are ignored (a flat job spec carries its own), and a
+        missing key or a JSON ``null`` means the field's default."""
+        kw = {}
+        for name in WIRE_FIELDS:
+            value = data.get(name)
+            if value is not None:
+                decode = _DECODE.get(name)
+                kw[name] = decode(value) if decode else value
+        return cls(**kw)
+
+    def validate(self) -> None:
+        """Reject settings no launch can run under (:class:`ValueError`
+        naming the field): degenerate geometry, non-integer value maps,
+        non-positive caps and budgets, a malformed shard."""
+        for name, dim in (("grid_dim", self.grid_dim),
+                          ("block_dim", self.block_dim)):
+            if any(not isinstance(v, int) or v < 1 for v in dim):
+                raise ValueError(f"{name} {dim!r} must be positive integers")
+        if not isinstance(self.warp_size, int) or self.warp_size < 1:
+            raise ValueError(
+                f"warp_size {self.warp_size!r} must be a positive integer")
+        for what, mapping in (("scalar_values", self.scalar_values),
+                              ("array_sizes", self.array_sizes)):
+            for key, value in mapping.items():
+                if not isinstance(key, str) \
+                        or not isinstance(value, int) \
+                        or isinstance(value, bool):
+                    raise ValueError(
+                        f"{what}[{key!r}] = {value!r} must map a "
+                        f"parameter name to an integer")
+        for what in ("max_loop_splits", "max_flows", "max_steps"):
+            value = getattr(self, what)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{what} {value!r} must be a positive "
+                                 f"integer")
+        seconds = self.time_budget_seconds
+        if seconds is not None \
+                and (not isinstance(seconds, (int, float)) or seconds <= 0):
+            raise ValueError(
+                f"time_budget_seconds {seconds!r} must be positive")
+        if isinstance(self.shard, dict):
+            from .swarm import ShardSelector
+            ShardSelector.from_dict(self.shard)
+        conflicts = self.solver_conflict_budget
+        if conflicts is not None \
+                and (not isinstance(conflicts, int)
+                     or isinstance(conflicts, bool) or conflicts < 0):
+            raise ValueError(f"solver_conflict_budget {conflicts!r} must "
+                             f"be a non-negative integer")
+
+
+#: the wire form's fields, in declaration order
+WIRE_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(LaunchConfig) if f.name not in OFF_WIRE)
+#: the fingerprint's fields: the wire form minus the accelerators
+FINGERPRINT_FIELDS: Tuple[str, ...] = tuple(
+    name for name in WIRE_FIELDS if name not in ACCELERATORS)
 
 
 class SymbolicEnv:

@@ -44,6 +44,9 @@ from .swarm import ShardSelector
 #: a pair's discharge step: ``(a1, a2, same_bi)`` -> None (no race) or
 #: ``(witness model, benign)``
 Discharge = Callable[[Access, Access, bool], Optional[Tuple[Model, bool]]]
+#: an access's out-of-bounds discharge step: ``access`` -> None (in
+#: bounds) or a witness model of the overrun
+OOBDischarge = Callable[[Access], Optional[Model]]
 
 
 @dataclass
@@ -183,11 +186,9 @@ class RaceChecker(PairDischarge):
                  solver_budget: Optional[int] = 200_000,
                  max_reports: int = 16,
                  extra_assumptions: Optional[List[Term]] = None,
-                 pruning: Optional[bool] = None,
                  sessions: Optional[Dict[Tuple[int, ...],
                                          SolverSession]] = None,
-                 memo: Optional[QueryMemo] = None,
-                 shard: Optional[ShardSelector] = None) -> None:
+                 memo: Optional[QueryMemo] = None) -> None:
         # callers running the checker repeatedly over near-identical
         # programs (the CEGIS repair loop) pass shared sessions / memo
         # so warm sessions and memoized verdicts carry across re-checks
@@ -198,15 +199,13 @@ class RaceChecker(PairDischarge):
         self.max_reports = max_reports
         # swarm mode: restrict the pair walk to this shard's ordinal
         # ranges (None: the whole enumeration, the sequential default)
-        self.shard = shard if shard is not None \
-            else getattr(self.config, "shard", None)
+        self.shard = self.config.shard
         if isinstance(self.shard, dict):
             self.shard = ShardSelector.from_dict(self.shard)
         self.plan_mismatch = False
         self._current_ordinal: Optional[int] = None
         self.extra_assumptions: List[Term] = list(extra_assumptions or ())
-        self.pruning = self.config.pair_pruning \
-            if pruning is None else pruning
+        self.pruning = self.config.pair_pruning
         self.stats = CheckStats()
         self.stats.dedup_skipped = result.dedup_skipped
         self.stats.summarized_accesses = result.summarized_accesses
@@ -224,7 +223,7 @@ class RaceChecker(PairDischarge):
         self._div_cache: Dict[int, bool] = {}
         # cross-run warm start: content-addressed solver artifacts under
         # the configured cache dir (None: no persistence, the default)
-        cache_dir = getattr(self.config, "solver_cache_dir", None)
+        cache_dir = self.config.solver_cache_dir
         self._store: Optional[SolverArtifactStore] = \
             SolverArtifactStore(cache_dir) if cache_dir else None
         self._pkey_fp: Dict[Tuple[int, ...], str] = {}
@@ -941,7 +940,12 @@ class RaceChecker(PairDischarge):
 
     # ------------------------------------------------------------------
 
-    def _check_oob(self) -> None:
+    def _check_oob(self, discharge: Optional[OOBDischarge] = None) -> None:
+        """Report every access that can run past its object's end.
+
+        *discharge* decides an access that the interval fast path left
+        open: :meth:`_solve_oob` by default, the static tier's
+        exhaustive evaluation otherwise."""
         seen: Set[tuple] = set()
         reported: Set[tuple] = set()
         for access in self.result.all_accesses():
@@ -966,13 +970,7 @@ class RaceChecker(PairDischarge):
                 if iv.hi <= obj.size_bytes - access.size:
                     self.stats.oob_pruned += 1
                     continue
-            # an access wider than its object overruns it at any offset
-            limit = obj.size_bytes - access.size
-            past_end = mk_not(mk_ule(self._side1.inst(access.offset),
-                                     mk_bv(limit, 32))) \
-                if limit >= 0 else TRUE
-            model = self._solve([self._side1.inst(access.cond), past_end],
-                                self._single_preamble())
+            model = (discharge or self._solve_oob)(access)
             if model is not None:
                 reported.add((obj.name, access.loc))
                 self.oobs.append(OOBReport(
@@ -980,6 +978,16 @@ class RaceChecker(PairDischarge):
                     size_bytes=obj.size_bytes,
                     witness=self._witness(model, two_threads=False)))
                 self.stats.oob_found += 1
+
+    def _solve_oob(self, access: Access) -> Optional[Model]:
+        """The default OOB discharge: solve the past-the-end query."""
+        # an access wider than its object overruns it at any offset
+        limit = access.obj.size_bytes - access.size
+        past_end = mk_not(mk_ule(self._side1.inst(access.offset),
+                                 mk_bv(limit, 32))) \
+            if limit >= 0 else TRUE
+        return self._solve([self._side1.inst(access.cond), past_end],
+                           self._single_preamble())
 
     # ------------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from repro.service import (
     JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
     trace_hit_rate,
 )
+from repro.sym import LaunchConfig
 
 CLEAN = "__global__ void k(float *a) { a[threadIdx.x] = 1.0f; }"
 CLEAN_RESTYLED = """
@@ -57,12 +58,12 @@ class TestCacheKey:
         assert cache_key(_spec(CLEAN)) != cache_key(_spec(RACY))
 
     def test_changed_config_changes_the_key(self):
-        assert cache_key(_spec(block_dim=(64, 1, 1))) != \
-            cache_key(_spec(block_dim=(128, 1, 1)))
+        assert cache_key(_spec(config=LaunchConfig(block_dim=64))) != \
+            cache_key(_spec(config=LaunchConfig(block_dim=128)))
         assert cache_key(_spec(engine="sesa")) != \
             cache_key(_spec(engine="gkleep"))
-        assert cache_key(_spec(check_oob=True)) != \
-            cache_key(_spec(check_oob=False))
+        assert cache_key(_spec(config=LaunchConfig(check_oob=True))) != \
+            cache_key(_spec(config=LaunchConfig(check_oob=False)))
 
     def test_uncompilable_source_still_gets_a_stable_key(self):
         bad = "__global__ void k( this does not parse"
@@ -89,7 +90,7 @@ class TestFormMemo:
         first = cache_key(_spec(source))
         assert len(calls) == 1
         assert cache_key(_spec(source, job_id="again")) == first
-        assert cache_key(_spec(source, block_dim=(32, 1, 1))) != first
+        assert cache_key(_spec(source, config=LaunchConfig(block_dim=32))) != first
         assert len(calls) == 1
 
     def test_memo_stays_at_its_bound(self, monkeypatch):
@@ -157,7 +158,8 @@ class TestCacheStore:
 class TestSchedulerIntegration:
     def test_second_run_hits_with_identical_verdict(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        specs = [_spec(RACY, job_id="racy", check_oob=False),
+        specs = [_spec(RACY, job_id="racy",
+                       config=LaunchConfig(check_oob=False)),
                  _spec(CLEAN, job_id="clean")]
         first = Scheduler(max_workers=2, cache=cache).run(specs)
         assert [r.status for r in first.jobs] == ["done", "done"]
@@ -175,8 +177,10 @@ class TestSchedulerIntegration:
 
     def test_changed_config_misses(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        Scheduler(cache=cache).run([_spec(block_dim=(32, 1, 1))])
-        batch = Scheduler(cache=cache).run([_spec(block_dim=(16, 1, 1))])
+        Scheduler(cache=cache).run(
+            [_spec(config=LaunchConfig(block_dim=32))])
+        batch = Scheduler(cache=cache).run(
+            [_spec(config=LaunchConfig(block_dim=16))])
         assert batch.jobs[0].status == JobStatus.DONE  # not CACHED
         assert batch.cache_misses == 1
 
@@ -184,9 +188,9 @@ class TestSchedulerIntegration:
             self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         first = Scheduler(cache=cache).run(
-            [_spec(RACY, check_oob=False)])
+            [_spec(RACY, config=LaunchConfig(check_oob=False))])
         second = Scheduler(cache=cache).run(
-            [_spec(SHIFT + RACY, check_oob=False)])
+            [_spec(SHIFT + RACY, config=LaunchConfig(check_oob=False))])
         assert second.jobs[0].status == JobStatus.DONE
         assert second.cache_hits == 0 and second.cache_misses == 1
 
@@ -239,7 +243,7 @@ class TestDamagedEntries:
             "race-not-object", "leftover-tmp"])
     def test_damaged_entry_is_rechecked_cold(self, tmp_path, damage):
         cache = ResultCache(str(tmp_path / "cache"))
-        spec = _spec(RACY, check_oob=False)
+        spec = _spec(RACY, config=LaunchConfig(check_oob=False))
         fresh = Scheduler(cache=cache).run([spec]).jobs[0]
         damage(cache._path(fresh.cache_key))
 

@@ -53,7 +53,7 @@ class TestDirectories:
                      "{ a[threadIdx.x] = 1.0f; }")
         specs = load_corpus([str(f)], block_dim=(32, 1, 1))
         assert len(specs) == 1
-        assert specs[0].block_dim == (32, 1, 1)
+        assert specs[0].config.block_dim == (32, 1, 1)
 
     def test_missing_target_raises(self):
         with pytest.raises(FileNotFoundError):

@@ -6,6 +6,7 @@ from repro.service import JobSpec, JobStatus
 from repro.service.cache import ResultCache
 from repro.service.runner import execute_job
 from repro.service.scheduler import run_batch
+from repro.sym import LaunchConfig
 
 BUGGY = """
 __shared__ float sdata[512];
@@ -26,10 +27,10 @@ __global__ void k(float *a) { a[threadIdx.x] = 1.0f; }
 """
 
 
-def _spec(job_id="reduce", source=BUGGY, **kw):
-    kw.setdefault("block_dim", (64, 1, 1))
-    kw.setdefault("check_oob", False)
-    return JobSpec(job_id=job_id, source=source, **kw)
+def _spec(job_id="reduce", source=BUGGY, check_oob=False, **kw):
+    return JobSpec(job_id=job_id, source=source,
+                   config=LaunchConfig(block_dim=64, check_oob=check_oob),
+                   **kw)
 
 
 class TestRunner:

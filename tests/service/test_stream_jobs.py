@@ -1,18 +1,23 @@
 """``stream`` JobSpec kind through the service stack.
 
 Covers spec validation, fingerprint stability for plain kernel jobs,
-inline execution, corpus enumeration, batch scheduling, and daemon
-round-trips with per-launch cache replay.
+inline execution, the stream-wide settings every launch must honour,
+corpus enumeration, batch scheduling, and daemon round-trips with
+per-launch cache replay.
 """
 import json
 
 import pytest
 
+from repro.core import SESA
 from repro.service import (
     JobSpec, JobState, JobStatus, JobValidationError, builtin_jobs,
     execute_job, run_batch, stream_jobs,
 )
 from repro.service.daemon import Daemon
+from repro.streams import StreamChecker, StreamProgram
+from repro.streams.checker import launch_fingerprint
+from repro.sym import LaunchConfig
 
 SOURCE = """\
 __global__ void produce(int *a) { a[threadIdx.x] = threadIdx.x; }
@@ -103,12 +108,94 @@ class TestExecuteJob:
         assert "ghost" in payload["error"]
 
     def test_solver_cache_dir_enables_launch_replay(self, tmp_path):
-        d = _spec(solver_cache_dir=str(tmp_path / "c")).to_dict()
+        d = _spec(config=LaunchConfig(
+            solver_cache_dir=str(tmp_path / "c"))).to_dict()
         first = execute_job(d)
         second = execute_job(d)
         assert first["check_stats"]["launch_cache_hits"] == 0
         assert second["check_stats"]["launch_cache_hits"] == 2
         assert second["check_stats"]["pair_cache_hits"] == 1
+
+
+#: race-free only under warp lock-step: every thread reads its
+#: neighbour's slot after the whole warp of 32 has written it
+LOCKSTEP_SOURCE = """\
+__shared__ int s[32];
+__global__ void shift(int *a) {
+  s[threadIdx.x] = a[threadIdx.x];
+  a[threadIdx.x] = s[(threadIdx.x + 1) % 32];
+}
+"""
+
+LOCKSTEP_PROGRAM = {
+    "name": "lockstep",
+    "buffers": {"a": 32},
+    "steps": [{"launch": "shift", "block": 32, "args": {"a": "a"}}],
+}
+
+
+def _lockstep_spec(**config):
+    return JobSpec(job_id="lockstep", source=LOCKSTEP_SOURCE,
+                   kind="stream", stream_program=dict(LOCKSTEP_PROGRAM),
+                   config=LaunchConfig(**config))
+
+
+#: one changed value per stream-wide setting a launch must honour
+STREAM_WIDE = {
+    "warp_size": 16,
+    "warp_lockstep": True,
+    "max_flows": 7,
+    "max_steps": 1000,
+    "max_loop_splits": 3,
+    "check_oob": False,
+    "pair_pruning": False,
+    "static_tier": False,
+    "solver_conflict_budget": 1234,
+}
+
+
+class TestStreamWideSettings:
+    def test_lockstep_launch_is_race_free(self):
+        lone = SESA.from_source(LOCKSTEP_SOURCE).check(
+            LaunchConfig(block_dim=32, warp_lockstep=True))
+        assert not lone.races
+        payload = execute_job(_lockstep_spec(warp_lockstep=True).to_dict())
+        assert payload["status"] == JobStatus.DONE, payload["error"]
+        assert payload["verdict"]["races"] == []
+        # ... and racy under the default warp-size-1 view
+        payload = execute_job(_lockstep_spec().to_dict())
+        assert payload["verdict"]["races"]
+
+    @pytest.mark.parametrize("name", sorted(STREAM_WIDE))
+    def test_setting_reaches_the_launch_check_and_key(self, name,
+                                                      monkeypatch):
+        seen = []
+        real = SESA.check
+
+        def spy(self, config=None, **kwargs):
+            seen.append(getattr(config, name))
+            return real(self, config, **kwargs)
+
+        monkeypatch.setattr(SESA, "check", spy)
+        program = StreamProgram.from_dict(dict(PROGRAM, source=SOURCE))
+        value = STREAM_WIDE[name]
+        checker = StreamChecker(program,
+                                config=LaunchConfig(**{name: value}))
+        checker.check()
+        assert seen == [value] * len(program.launches())
+        launch = program.launches()[0]
+        plain = StreamChecker(program)
+        assert launch_fingerprint(
+            checker.module, launch, checker._config_for(launch)) != \
+            launch_fingerprint(plain.module, launch,
+                               plain._config_for(launch))
+
+    @pytest.mark.parametrize("config", [
+        {"symbolic_inputs": {"a"}}, {"scalar_values": {"n": 4}},
+        {"array_sizes": {"a": 8}}, {"block_dim": 32}])
+    def test_per_launch_setting_is_rejected(self, config):
+        with pytest.raises(JobValidationError, match="per launch"):
+            _spec(config=LaunchConfig(**config)).validate()
 
 
 class TestCorpus:

@@ -15,9 +15,8 @@ from repro.sym.swarm import ShardSelector
 EASY = "__global__ void k(int *a) { a[threadIdx.x] = threadIdx.x; }"
 
 
-def _bail_reason(source=EASY, config=None, **check_kwargs):
-    report = SESA.from_source(source).check(
-        config or LaunchConfig(), **check_kwargs)
+def _bail_reason(source=EASY, config=None):
+    report = SESA.from_source(source).check(config or LaunchConfig())
     data = report.to_dict()
     stats = data["check_stats"]
     json.dumps(data)  # the reason must survive serialisation
@@ -60,11 +59,6 @@ def test_time_budget_bails():
 def test_solver_budget_override_on_config_bails():
     config = LaunchConfig(solver_conflict_budget=10)
     assert _bail_reason(config=config) == "solver budget override"
-
-
-def test_solver_budget_override_on_call_bails():
-    assert _bail_reason(solver_budget=50_000) == \
-        "solver budget override"
 
 
 def test_atomic_bails():

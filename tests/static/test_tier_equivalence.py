@@ -62,6 +62,21 @@ def test_builtin_suite_equivalence(suite, kernel):
     _check_both(spec.source, spec.kernel_name, spec.launch_config)
 
 
+def test_static_oob_witness_matches_engine():
+    """An overrun the static tier finds by enumeration (the OOB
+    discharge hook) carries the report and witness the solver-backed
+    engine produces."""
+    source = "__global__ void k(int *a) { a[threadIdx.x + 1] = 1; }"
+
+    def config():
+        return LaunchConfig(block_dim=64, array_sizes={"a": 64})
+    tiered, mono = _check_both(source, None, config)
+    assert tiered.check_stats.tier == "static"
+    assert [(o.obj_name, str(o.witness)) for o in tiered.oobs] == \
+        [(o.obj_name, str(o.witness)) for o in mono.oobs] == \
+        [("a", "block (0, 0, 0) thread (63, 0, 0)")]
+
+
 def test_escalation_records_reason():
     """An atomic kernel escapes the decidable fragment in prescreen —
     cheaply, before any walk — and the reason lands in the stats."""

@@ -11,6 +11,7 @@ from repro.streams import (
     Launch, StreamChecker, StreamProgram, SyncOp, check_stream,
     launch_fingerprint,
 )
+from repro.sym import LaunchConfig
 
 EXPECTED_RACY = {case.name for case in STREAM_CASES
                  if case.expected_racy}
@@ -64,7 +65,8 @@ def test_hb_ordered_pairs_skip_pair_checking():
 
 def test_pruning_off_still_safe_on_disjoint():
     case = get_stream_case("disjoint_streams")
-    report = check_stream(case.program, pruning=False)
+    report = check_stream(case.program,
+                          config=LaunchConfig(pair_pruning=False))
     assert not report.inter_launch_races
     assert report.stats.queries > 0       # solver had to discharge it
 
@@ -284,7 +286,8 @@ def test_benign_ww_same_value_is_reported_benign():
 
 
 def test_time_budget_zero_reports_timeout_not_crash():
-    report = check_stream(_pipeline(), time_budget_seconds=1e-9)
+    report = check_stream(_pipeline(),
+                          config=LaunchConfig(time_budget_seconds=1e-9))
     assert report.timed_out
     data = report.to_dict()
     assert data["timed_out"] is True

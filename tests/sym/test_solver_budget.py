@@ -1,6 +1,7 @@
 """Solver-budget exhaustion must surface as a timeout, not silence.
 
-When a race query burns through ``solver_budget`` conflicts the SAT
+When a race query burns through ``solver_conflict_budget`` conflicts
+(the one conflict-budget setting, a :class:`LaunchConfig` field) the SAT
 core answers UNKNOWN. Dropping that on the floor would report "no
 races found" for a kernel the checker never actually decided — so the
 checker must set ``timed_out`` and the report must carry the budget
@@ -8,7 +9,7 @@ warning, exactly like a wall-clock timeout.
 """
 import pytest
 
-from repro.core import SESA, LaunchConfig
+from repro.core import GKLEEp, SESA, LaunchConfig
 from repro.sym import RaceChecker
 
 # the xor address defeats both the affine fast path (xor is not
@@ -24,8 +25,8 @@ __global__ void k() {
 
 def _check(budget):
     tool = SESA.from_source(XOR_ADDR)
-    return tool.check(LaunchConfig(block_dim=64, check_oob=False),
-                      solver_budget=budget)
+    return tool.check(LaunchConfig(block_dim=64, check_oob=False,
+                                   solver_conflict_budget=budget))
 
 
 class TestSolverBudgetTimeout:
@@ -57,3 +58,8 @@ class TestSolverBudgetTimeout:
     def test_json_report_carries_the_flag(self):
         payload = _check(budget=0).to_dict()
         assert payload["timed_out"] is True
+
+    def test_gkleep_honours_the_budget(self):
+        tool = GKLEEp.from_source(XOR_ADDR)
+        assert tool.check(LaunchConfig(block_dim=64, check_oob=False,
+                                       solver_conflict_budget=0)).timed_out
