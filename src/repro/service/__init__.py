@@ -40,7 +40,7 @@ from .jobs import (
     JOB_KINDS, JobResult, JobSpec, JobState, JobStatus,
     JobValidationError,
 )
-from .runner import execute_job, run_job_inline, run_job_isolated
+from .runner import execute_job, run_attempt, run_job_isolated
 from .scheduler import BatchResult, Scheduler, run_batch
 from .swarm import (
     SwarmPlanError, plan_shard_specs, run_portfolio, run_swarm_batch,
@@ -53,7 +53,7 @@ __all__ = [
     "JobValidationError", "ResultCache", "SUITES", "Scheduler",
     "Telemetry", "builtin_jobs", "cache_key", "canonical_form",
     "content_key", "directory_jobs", "execute_job", "file_job",
-    "load_corpus", "JOB_KINDS", "run_batch", "run_job_inline",
+    "load_corpus", "JOB_KINDS", "run_attempt", "run_batch",
     "run_job_isolated",
     "spec_from_kernel", "stream_jobs", "trace_hit_rate",
     "SwarmPlanError", "plan_shard_specs", "run_portfolio",

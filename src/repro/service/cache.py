@@ -18,9 +18,13 @@ memoises it per process: a bounded LRU maps ``sha256(source)`` to
 
 Entries are one JSON file each under ``cache_dir/ab/abcdef....json``
 (two-level fan-out keeps directories small on big corpora). The stored
-payload is byte-for-byte what the worker produced, so a cache hit
-reproduces the original verdict exactly. An entry that does not parse,
-or parses to the wrong shape, is a miss: the job is re-checked cold.
+verdict is byte-for-byte what the worker produced, so a cache hit
+reproduces the original verdict exactly. Job and launch verdicts go
+in and out only as :class:`~repro.service.jobs.JobResult` records,
+through :meth:`ResultCache.put_result` (which stores only a completed,
+not timed-out verdict) and :meth:`ResultCache.get_result`. An entry
+that does not parse, or parses to the wrong shape, is a miss: the job
+is re-checked cold.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from .. import code_digest
-from .jobs import JobSpec
+from .jobs import JobResult, JobSpec, JobStatus
 
 #: distinct sources whose canonical-form digest :func:`cache_key` keeps
 FORM_MEMO_SIZE = 1024
@@ -101,18 +105,27 @@ def cache_key(spec: JobSpec) -> str:
                        config=spec.config_fingerprint())
 
 
-def is_verdict_entry(payload: dict) -> bool:
-    """Whether *payload* has the shape of a stored job or launch
-    verdict: a ``verdict`` object whose races are objects, and optional
-    ``check_stats``/``inputs``/``repair`` objects."""
-    verdict = payload.get("verdict")
-    if not isinstance(verdict, dict):
+#: the fields a reader of a stored result sets for itself, and the
+#: ``check_stats`` view of the verdict's own: none is stored
+_NOT_STORED = ("job_id", "attempts", "elapsed_seconds", "cached",
+               "cache_key", "check_stats")
+
+
+def _is_verdict_entry(entry: dict) -> bool:
+    """Whether *entry* has the shape of a stored result: status
+    ``done``, a ``verdict`` object whose races are objects and whose
+    ``check_stats`` is an object or null, and optional ``inputs`` /
+    ``repair`` objects."""
+    verdict = entry.get("verdict")
+    if entry.get("status") != JobStatus.DONE \
+            or not isinstance(verdict, dict):
         return False
     races = verdict.get("races", [])
     return (isinstance(races, list)
             and all(isinstance(race, dict) for race in races)
-            and all(isinstance(payload.get(field), (dict, type(None)))
-                    for field in ("check_stats", "inputs", "repair")))
+            and isinstance(verdict.get("check_stats"), (dict, type(None)))
+            and all(isinstance(entry.get(field), (dict, type(None)))
+                    for field in ("inputs", "repair")))
 
 
 class ResultCache:
@@ -138,8 +151,7 @@ class ResultCache:
             ) -> Optional[dict]:
         """The stored payload, or ``None`` on a miss. An entry that does
         not parse, is not a JSON object, or fails *valid* (the reader's
-        shape check, e.g. :func:`is_verdict_entry`) counts as a miss, so
-        the caller re-checks cold."""
+        shape check) counts as a miss, so the caller re-checks cold."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -163,6 +175,30 @@ class ResultCache:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
+
+    def get_result(self, key: str, job_id: str) -> Optional[JobResult]:
+        """The result stored under *key*, served to job *job_id* as a
+        ``cached`` record (zero attempts, zero elapsed), or ``None`` on
+        a miss; an entry of the wrong shape is a miss."""
+        entry = self.get(key, _is_verdict_entry)
+        if entry is None:
+            return None
+        result = JobResult.from_dict(entry)
+        result.job_id, result.status = job_id, JobStatus.CACHED
+        result.attempts, result.cached, result.cache_key = 0, True, key
+        return result
+
+    def put_result(self, key: str, result: JobResult) -> bool:
+        """Store *result* under *key* if it is :attr:`~JobResult.
+        definitive` — a failed or timed-out (partial) verdict is never
+        stored. Returns whether it was."""
+        if not result.definitive:
+            return False
+        entry = result.to_dict()
+        for name in _NOT_STORED:
+            del entry[name]
+        self.put(key, entry)
+        return True
 
     # ------------------------------------------------------------------
 

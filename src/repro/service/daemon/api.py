@@ -29,15 +29,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from ... import __version__ as TOOL_VERSION
-from ...sym.swarm import ShardOutcome, ShardSelector
-from ..cache import ResultCache, cache_key, is_verdict_entry
+from ...sym.swarm import ShardSelector
+from ..cache import ResultCache, cache_key
 from ..corpus import SUITES, builtin_jobs
 from ..jobs import JobResult, JobSpec, JobState, JobStatus, \
     JobValidationError
 from ..runner import Runner, execute_job
 from ..swarm import (
-    SwarmPlanError, merged_job_result, plan_shard_specs,
-    swarm_cache_key,
+    SwarmPlanError, merged_job_result, outcomes_from_results,
+    plan_shard_specs, swarm_cache_key,
 )
 from ..telemetry import Telemetry
 from .lease import DEFAULT_LEASE_TTL, Reaper
@@ -71,22 +71,20 @@ class SwarmMerger:
 
     # -- one parent ----------------------------------------------------
 
-    def _shard_outcome(self, selector: ShardSelector,
-                       row: Optional[JobRow]) -> ShardOutcome:
+    @staticmethod
+    def _shard_result(row: Optional[JobRow]) -> Optional[JobResult]:
+        """The stored outcome of one terminal shard job (``None`` when
+        its row is gone). A failed or dead shard's partial result must
+        not be read as a clean verdict."""
         if row is None:
-            return ShardOutcome(shard=selector, status="lost",
-                                error="shard job row missing")
-        result = row.result or {}
-        status = result.get("status") or row.state
-        # failed/dead shard: whatever partial payload exists must not
-        # be read as a clean verdict
-        if row.state != JobState.DONE and status in ("done", "cached"):
-            status = row.state
-        return ShardOutcome(
-            shard=selector, status=status,
-            verdict=result.get("verdict"), job_id=row.job_id,
-            error=row.error or result.get("error"),
-            elapsed_seconds=result.get("elapsed_seconds") or 0.0)
+            return None
+        result = (JobResult.from_dict(row.result) if row.result
+                  else JobResult.failure(row.error, status=row.state))
+        result.job_id = row.job_id
+        result.error = row.error or result.error
+        if row.state != JobState.DONE and result.ok:
+            result.status = row.state
+        return result
 
     def _try_merge(self, parent: JobRow) -> bool:
         """Merge one waiting parent if its shards are all terminal;
@@ -94,22 +92,19 @@ class SwarmMerger:
         info = (parent.spec.get("meta") or {}).get("swarm") or {}
         shards = info.get("shards") or []
         if not shards:
+            result = JobResult.failure(
+                "waiting parent has no shard plan",
+                job_id=parent.spec.get("job_id", "?"))
             self.store.finish_waiting(
-                parent.job_id,
-                JobResult(job_id=parent.spec.get("job_id", "?"),
-                          status=JobStatus.ERROR,
-                          error="waiting parent has no shard plan"
-                          ).to_dict(),
-                state=JobState.FAILED,
-                error="waiting parent has no shard plan")
+                parent.job_id, result.to_dict(), state=JobState.FAILED,
+                error=result.error)
             return True
         rows = [self.store.get(s["job_id"]) for s in shards]
         if any(row is not None and not row.terminal for row in rows):
             return False
-        selectors = [ShardSelector.from_dict(s["selector"])
-                     for s in shards]
-        outcomes = [self._shard_outcome(sel, row)
-                    for sel, row in zip(selectors, rows)]
+        outcomes = outcomes_from_results(
+            [ShardSelector.from_dict(s["selector"]) for s in shards],
+            [self._shard_result(row) for row in rows])
         spec = JobSpec.from_dict(parent.spec)
         result = merged_job_result(
             spec, outcomes, cache_key_used=parent.fingerprint,
@@ -122,15 +117,9 @@ class SwarmMerger:
         if not wrote:
             return True   # another merger instance won the race
         self.merged += 1
+        if self.cache is not None:
+            self.cache.put_result(parent.fingerprint, result)
         verdict = result.verdict or {}
-        if state == JobState.DONE and self.cache is not None \
-                and not verdict.get("timed_out"):
-            self.cache.put(parent.fingerprint, {
-                "status": JobStatus.DONE, "verdict": result.verdict,
-                "check_stats": result.check_stats, "inputs": None,
-                "repair": None,
-                "elapsed_seconds": result.elapsed_seconds,
-                "error": None})
         self.telemetry.emit(
             "swarm_merged", job_id=parent.job_id,
             label=spec.job_id,
@@ -243,23 +232,17 @@ class Daemon:
         """
         spec.validate()
         parent_key = swarm_cache_key(spec, num_shards)
-        if self.cache is not None:
-            payload = self.cache.get(parent_key, is_verdict_entry)
-            if payload is not None:
-                cached = JobResult(
-                    job_id=spec.job_id, status=JobStatus.CACHED,
-                    engine=spec.engine, cached=True,
-                    cache_key=parent_key,
-                    verdict=payload.get("verdict"),
-                    check_stats=payload.get("check_stats"))
-                job_id, deduped = self.store.submit(
-                    spec, parent_key, state=JobState.DONE,
-                    result=cached.to_dict())
-                self.telemetry.emit("cache_hit", job_id=job_id,
-                                    cache_key=parent_key)
-                return {"job_id": job_id, "label": spec.job_id,
-                        "deduped": deduped, "swarm": num_shards,
-                        "shards": []}
+        cached = self.cache.get_result(parent_key, spec.job_id) \
+            if self.cache is not None else None
+        if cached is not None:
+            job_id, deduped = self.store.submit(
+                spec, parent_key, state=JobState.DONE,
+                result=cached.to_dict())
+            self.telemetry.emit("cache_hit", job_id=job_id,
+                                cache_key=parent_key)
+            return {"job_id": job_id, "label": spec.job_id,
+                    "deduped": deduped, "swarm": num_shards,
+                    "shards": []}
         try:
             shard_specs, selectors, info = plan_shard_specs(
                 spec, num_shards)

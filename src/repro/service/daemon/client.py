@@ -22,7 +22,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, Iterable, List, Optional
 
-from ..jobs import JobState
+from ..jobs import JobResult, JobState
 
 
 class DaemonError(RuntimeError):
@@ -155,23 +155,14 @@ def format_result_line(payload: dict, width: int = 0) -> str:
     """One human-readable line per terminal job (CLI output)."""
     label = payload.get("label") or payload.get("job_id", "?")
     state = payload.get("state", "?")
-    result = payload.get("result") or {}
-    verdict = result.get("verdict") or {}
+    result = JobResult.from_dict(payload.get("result") or {})
     if state == JobState.DONE:
-        tags = []
-        for race in verdict.get("races", ()):
-            tag = race.get("kind", "?") + \
-                (" (Benign)" if race.get("benign") else "")
-            if tag not in tags:
-                tags.append(tag)
-        if verdict.get("oobs"):
-            tags.append("OOB")
-        detail = ", ".join(tags) or "clean"
-        if result.get("cached"):
+        detail = ", ".join(result.issue_tags()) or "clean"
+        if result.cached:
             detail += " [cached]"
     else:
-        detail = (payload.get("error") or result.get("error")
+        detail = (payload.get("error") or result.error
                   or "-").strip().splitlines()[-1]
-    elapsed = result.get("elapsed_seconds", 0.0) or 0.0
+    elapsed = result.elapsed_seconds or 0.0
     return (f"{state.upper():8s} {label:{width}s} "
             f"{elapsed:7.2f}s  {detail}")

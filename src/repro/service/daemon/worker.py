@@ -2,8 +2,8 @@
 
 A :class:`WorkerDaemon` is one long-lived claim loop. Each claimed job
 runs in a *fresh forked process* (the same
-:func:`~repro.service.runner.run_job_isolated` primitive the batch
-scheduler uses), so an analysis crash kills the child, not the worker;
+:func:`~repro.service.runner.run_attempt` the batch scheduler
+uses), so an analysis crash kills the child, not the worker;
 a :class:`~repro.service.daemon.lease.Heartbeat` thread renews the
 lease while the child runs, so only a worker that dies *whole*
 (SIGKILL, OOM, power loss) lets the lease expire — and then the reaper
@@ -11,9 +11,10 @@ requeues the job for someone else.
 
 Outcome → state mapping (the worker's core policy):
 
-* payload ``done``            → ``done`` (result cached for dedup)
+* result ``done``             → ``done`` (cached for dedup unless the
+  verdict timed out)
 * cache hit on claim          → ``done`` immediately, zero solver work
-* payload ``error``           → ``failed`` — the runner caught a
+* result ``error``            → ``failed`` — the runner caught a
   deterministic analysis/validation failure; retrying wastes budget
 * hard timeout                → ``failed`` — equally deterministic
 * child **crash**             → released back: ``queued`` while
@@ -28,9 +29,9 @@ import threading
 import time
 from typing import Optional
 
-from ..cache import ResultCache, is_verdict_entry
+from ..cache import ResultCache
 from ..jobs import JobResult, JobState, JobStatus
-from ..runner import Runner, execute_job, run_job_isolated
+from ..runner import Runner, execute_job, run_attempt
 from ..telemetry import Telemetry
 from .lease import DEFAULT_LEASE_TTL, Heartbeat
 from .store import JobRow, JobStore
@@ -86,15 +87,8 @@ class WorkerDaemon:
     # one job
     # ------------------------------------------------------------------
 
-    def _record(self, job: JobRow, result: JobResult,
-                state: str, lost: bool,
-                error: Optional[str] = None) -> None:
-        if lost:
-            # the reaper reassigned the job mid-run; our verdict may
-            # already disagree with the new owner's bookkeeping
-            self.telemetry.emit("result_dropped", job_id=job.job_id,
-                                worker=self.worker_id, state=state)
-            return
+    def _record(self, job: JobRow, result: JobResult, state: str) -> None:
+        error = None if state == JobState.DONE else result.error
         wrote = self.store.complete(job.job_id, self.worker_id,
                                     result.to_dict(), state=state,
                                     error=error)
@@ -103,21 +97,15 @@ class WorkerDaemon:
             self.jobs_done += 1
             if tier is not None:
                 self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1
-        self.telemetry.emit(
-            "job_finished", job_id=job.job_id, status=result.status,
-            state=state if wrote else "lost", worker=self.worker_id,
-            attempts=job.attempts, cached=result.cached,
-            elapsed_seconds=round(result.elapsed_seconds, 6),
-            tier=tier,
-            check_stats=result.check_stats,
-            issues=result.issue_tags() if result.verdict else None)
+        self.telemetry.job_finished(
+            result, state=state if wrote else "lost",
+            worker=self.worker_id)
         if wrote and state == JobState.DONE and result.verdict \
                 and "stream" in result.verdict:
             # the stream job ran in a child process; re-emit the merge
             # event into the daemon's durable trace (cached verdicts
             # included — a replayed merge is still a merge)
             stream = result.verdict.get("stream") or {}
-            stats = stream.get("stats") or {}
             self.telemetry.emit(
                 "stream_merged", job_id=job.job_id,
                 worker=self.worker_id,
@@ -125,7 +113,8 @@ class WorkerDaemon:
                 launches=len(stream.get("launches") or ()),
                 inter_launch_races=len(
                     stream.get("inter_launch_races") or ()),
-                launch_cache_hits=stats.get("launch_cache_hits"),
+                launch_cache_hits=(result.check_stats or {}).get(
+                    "launch_cache_hits"),
                 cached=result.cached)
 
     def process_one(self) -> bool:
@@ -139,7 +128,6 @@ class WorkerDaemon:
                             attempt=job.attempts,
                             lease_ttl=self.lease_ttl)
         spec_dict = job.spec
-        engine = spec_dict.get("engine", "sesa")
         if self.cache is not None \
                 and spec_dict.get("solver_cache_dir") is None:
             # share the daemon's cache tree for solver warm-start
@@ -150,84 +138,56 @@ class WorkerDaemon:
         # dedup fast path: an identical submission already paid for
         # this verdict (possibly in a previous daemon's lifetime)
         if self.cache is not None:
-            payload = self.cache.get(job.fingerprint, is_verdict_entry)
-            if payload is not None:
+            result = self.cache.get_result(job.fingerprint, job.job_id)
+            if result is not None:
+                result.attempts = job.attempts
                 self.telemetry.emit("cache_hit", job_id=job.job_id,
                                     cache_key=job.fingerprint)
-                result = JobResult(
-                    job_id=job.job_id, status=JobStatus.CACHED,
-                    engine=engine, attempts=job.attempts, cached=True,
-                    cache_key=job.fingerprint, elapsed_seconds=0.0,
-                    verdict=payload.get("verdict"),
-                    check_stats=payload.get("check_stats"),
-                    inputs=payload.get("inputs"),
-                    repair=payload.get("repair"))
-                self._record(job, result, JobState.DONE, lost=False)
+                self._record(job, result, JobState.DONE)
                 return True
             self.telemetry.emit("cache_miss", job_id=job.job_id,
                                 cache_key=job.fingerprint)
 
         self.telemetry.emit("job_started", job_id=job.job_id,
-                            worker=self.worker_id, engine=engine,
+                            worker=self.worker_id,
+                            engine=spec_dict.get("engine", "sesa"),
                             cached=False)
-        start = time.perf_counter()
         with Heartbeat(self.store, job.job_id, self.worker_id,
                        self.lease_ttl,
                        telemetry=self.telemetry) as beat:
-            if self.isolate:
-                outcome, payload = run_job_isolated(
-                    spec_dict, self.runner, self.timeout_seconds)
-            else:
-                from ..runner import run_job_inline
-                outcome, payload = run_job_inline(spec_dict, self.runner)
-        elapsed = time.perf_counter() - start
-
+            outcome, result = run_attempt(spec_dict, self.runner,
+                                          self.timeout_seconds,
+                                          self.isolate)
+        result.job_id, result.attempts, result.cache_key = \
+            job.job_id, job.attempts, job.fingerprint
         if outcome == "crash":
-            if beat.lost:
-                self.telemetry.emit("result_dropped", job_id=job.job_id,
-                                    worker=self.worker_id, state="crash")
-                return True
+            state = "crash"
+        elif result.status == JobStatus.DONE:
+            state = JobState.DONE
+        else:
+            # deterministic failure (analysis error, validation error,
+            # hard timeout): retrying cannot change the outcome
+            state = JobState.FAILED
+        if beat.lost:
+            # the reaper reassigned the job mid-run; our verdict may
+            # already disagree with the new owner's bookkeeping
+            self.telemetry.emit("result_dropped", job_id=job.job_id,
+                                worker=self.worker_id, state=state)
+            return True
+        if state == "crash":
             new_state = self.store.release(
                 job.job_id, self.worker_id,
-                error=f"worker child crashed (exit code {payload}) "
-                      f"on attempt {job.attempts}")
+                error=f"{result.error} on attempt {job.attempts}")
             self.telemetry.emit("job_requeued" if new_state ==
                                 JobState.QUEUED else "job_dead",
                                 job_id=job.job_id,
                                 worker=self.worker_id,
-                                exit_code=payload,
+                                error=result.error,
                                 attempt=job.attempts)
             return True
-
-        if outcome == "timeout":
-            result = JobResult(
-                job_id=job.job_id, status=JobStatus.TIMEOUT,
-                engine=engine, attempts=job.attempts,
-                elapsed_seconds=elapsed, cache_key=job.fingerprint,
-                error=f"hard timeout after {self.timeout_seconds}s")
-            self._record(job, result, JobState.FAILED, beat.lost,
-                         error=result.error)
-            return True
-
-        status = payload.get("status", JobStatus.ERROR)
-        result = JobResult(
-            job_id=job.job_id, status=status, engine=engine,
-            attempts=job.attempts, elapsed_seconds=elapsed,
-            cache_key=job.fingerprint,
-            verdict=payload.get("verdict"),
-            check_stats=payload.get("check_stats"),
-            inputs=payload.get("inputs"),
-            repair=payload.get("repair"),
-            error=payload.get("error"))
-        if status == JobStatus.DONE:
-            if self.cache is not None and not beat.lost:
-                self.cache.put(job.fingerprint, payload)
-            self._record(job, result, JobState.DONE, beat.lost)
-        else:
-            # deterministic failure (analysis error, validation error):
-            # retrying cannot change the outcome
-            self._record(job, result, JobState.FAILED, beat.lost,
-                         error=result.error)
+        if self.cache is not None:
+            self.cache.put_result(job.fingerprint, result)
+        self._record(job, result, state)
         return True
 
     # ------------------------------------------------------------------

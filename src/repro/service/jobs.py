@@ -210,7 +210,14 @@ class JobSpec:
 
 @dataclass
 class JobResult:
-    """The scheduler's per-job outcome record."""
+    """The one record of a job's outcome.
+
+    Its wire form (:meth:`to_dict`) is the payload a runner ships back
+    from its worker process, the daemon's stored job row and — less
+    each reader's own bookkeeping — the result-cache entry
+    (:meth:`repro.service.cache.ResultCache.put_result`). Every reader
+    rebuilds the record with :meth:`from_dict`.
+    """
 
     job_id: str
     status: str
@@ -219,19 +226,44 @@ class JobResult:
     elapsed_seconds: float = 0.0
     cached: bool = False
     cache_key: Optional[str] = None
-    #: ``AnalysisReport.to_dict()`` of the completed check (DONE/CACHED)
+    #: ``AnalysisReport.to_dict()`` of the completed check (DONE/CACHED);
+    #: it holds the solver statistics under ``check_stats``
     verdict: Optional[dict] = None
-    #: solver statistics (``CheckStats`` as a dict) when available
-    check_stats: Optional[dict] = None
     #: {"symbolic": n, "total": m} input-symbolisation counts
     inputs: Optional[dict] = None
     #: ``RepairResult.to_dict()`` when the job ran with ``repair=True``
     repair: Optional[dict] = None
     error: Optional[str] = None
+    #: the error is a malformed job spec, not an analysis failure
+    validation_error: bool = False
+    #: which variant answered a :func:`~repro.service.swarm.run_portfolio`
+    #: race, among which
+    portfolio: Optional[dict] = None
+
+    @classmethod
+    def failure(cls, error: str, status: str = JobStatus.ERROR,
+                job_id: str = "", **fields) -> "JobResult":
+        """A job that ended without a verdict: an analysis error, a
+        crash, a hard timeout, an invalid spec."""
+        return cls(job_id=job_id, status=status, error=error, **fields)
+
+    @property
+    def check_stats(self) -> Optional[dict]:
+        """Solver statistics (``CheckStats`` as a dict) when available:
+        a view of ``verdict["check_stats"]``, where they are held."""
+        return (self.verdict or {}).get("check_stats")
 
     @property
     def ok(self) -> bool:
         return self.status in (JobStatus.DONE, JobStatus.CACHED)
+
+    @property
+    def definitive(self) -> bool:
+        """Completed with a verdict that was not cut short by a budget:
+        the only kind of result the cache stores or a portfolio race
+        accepts as its answer."""
+        return self.status == JobStatus.DONE \
+            and not (self.verdict or {}).get("timed_out")
 
     @property
     def has_issues(self) -> bool:
@@ -255,7 +287,7 @@ class JobResult:
         return tags
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "job_id": self.job_id, "status": self.status,
             "engine": self.engine, "attempts": self.attempts,
             "elapsed_seconds": self.elapsed_seconds,
@@ -264,18 +296,28 @@ class JobResult:
             "inputs": self.inputs, "repair": self.repair,
             "error": self.error,
         }
+        if self.validation_error:
+            out["validation_error"] = True
+        if self.portfolio is not None:
+            out["portfolio"] = self.portfolio
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobResult":
+        """The record of a wire form; a missing key takes its default
+        (a cache entry holds no bookkeeping) and a top-level
+        ``check_stats`` is ignored, being the view."""
         return cls(
-            job_id=data["job_id"], status=data["status"],
+            job_id=data.get("job_id", ""),
+            status=data.get("status", JobStatus.ERROR),
             engine=data.get("engine", "sesa"),
             attempts=data.get("attempts", 1),
             elapsed_seconds=data.get("elapsed_seconds", 0.0),
             cached=data.get("cached", False),
             cache_key=data.get("cache_key"),
             verdict=data.get("verdict"),
-            check_stats=data.get("check_stats"),
             inputs=data.get("inputs"),
             repair=data.get("repair"),
-            error=data.get("error"))
+            error=data.get("error"),
+            validation_error=bool(data.get("validation_error")),
+            portfolio=data.get("portfolio"))

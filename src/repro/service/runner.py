@@ -2,23 +2,40 @@
 
 :func:`execute_job` is the default job runner: it takes a *plain dict*
 (a serialised :class:`~repro.service.jobs.JobSpec`), compiles the
-kernel, runs the selected engine, and returns a plain-dict payload.
-It never raises — an analysis failure comes back as an ``error``
-payload so the scheduler can record it without losing the batch.
+kernel, runs the selected engine, and returns the wire form of a
+:class:`~repro.service.jobs.JobResult`. It never raises — an analysis
+failure comes back as an ``error`` result so the scheduler can record
+it without losing the batch.
+
+Payload shape (:meth:`JobResult.to_dict`)::
+
+    {"job_id": str, "status": "done"|"error", "engine": str,
+     "verdict": {..., "check_stats": {...}|None}|None,
+     "check_stats": {...}|None,        # view of verdict["check_stats"]
+     "inputs": {...}|None, "repair": {...}|None,
+     "elapsed_seconds": float, "error": str|None,
+     "attempts": 1, "cached": false, "cache_key": null}
+
+plus ``"validation_error": true`` for a malformed spec and
+``"portfolio": {...}`` for a :func:`~repro.service.swarm.run_portfolio`
+answer.
 
 The function lives at module top level so worker processes can reach
 it by import, and so tests can swap in their own runner (crashing,
 hanging, flaky) to exercise the scheduler's fault handling.
+:func:`run_attempt` is the one attempt the batch scheduler and the
+daemon worker make at a job, in a fresh process or in-thread.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
 import traceback
-from dataclasses import asdict
 from typing import Callable, Optional, Tuple
 
-from .jobs import ENGINE_NAMES, JobSpec, JobStatus, JobValidationError
+from .jobs import (
+    ENGINE_NAMES, JobResult, JobSpec, JobStatus, JobValidationError,
+)
 
 Runner = Callable[[dict], dict]
 
@@ -33,77 +50,55 @@ def _engine_class(name: str):
 
 
 def execute_job(spec_dict: dict) -> dict:
-    """Run one analysis job; always returns a result payload dict.
-
-    Payload shape::
-
-        {"status": "done"|"error", "verdict": {...}|None,
-         "check_stats": {...}|None, "elapsed_seconds": float,
-         "error": str|None}
-    """
+    """Run one analysis job; always returns a result payload dict
+    (see the module docstring for its shape)."""
     start = time.perf_counter()
     try:
         spec = JobSpec.from_dict(spec_dict)
         spec.validate()
         if spec.kind == "stream":
-            return _execute_stream_job(spec, start)
-        engine_cls = _engine_class(spec.engine)
-        tool = engine_cls.from_source(spec.source, spec.kernel_name)
-        report = tool.check(spec.launch_config())
-        if hasattr(tool, "inferred_symbolic_inputs"):      # SESA
-            inputs = {"symbolic": len(tool.inferred_symbolic_inputs()),
-                      "total": len(tool.taint.verdicts)}
-        elif hasattr(tool, "default_symbolic_inputs"):     # GKLEE(p)
-            n = len(tool.default_symbolic_inputs())
-            inputs = {"symbolic": n, "total": n}
+            result = _execute_stream_job(spec)
         else:
-            inputs = None
-        repair = None
-        if spec.repair and spec.engine == "sesa" and report.has_races:
-            from ..repair import repair_source
-            outcome = repair_source(
-                spec.source, config=spec.launch_config(),
-                kernel_name=spec.kernel_name,
-                time_budget_seconds=spec.config.time_budget_seconds)
-            repair = outcome.to_dict()
-        return {
-            "status": JobStatus.DONE,
-            "verdict": report.to_dict(),
-            "check_stats": (asdict(report.check_stats)
-                            if report.check_stats is not None else None),
-            "inputs": inputs,
-            "repair": repair,
-            "elapsed_seconds": time.perf_counter() - start,
-            "error": None,
-        }
+            result = _execute_kernel_job(spec)
     except JobValidationError as exc:
         # malformed input, not an analysis failure: a clean one-line
         # error (no traceback — there is nothing to debug in the tool)
         # that the daemon records as a non-retryable ``failed`` job and
         # the CLI maps to exit code 2
-        return {
-            "status": JobStatus.ERROR,
-            "verdict": None,
-            "check_stats": None,
-            "inputs": None,
-            "repair": None,
-            "elapsed_seconds": time.perf_counter() - start,
-            "error": str(exc),
-            "validation_error": True,
-        }
+        result = JobResult.failure(str(exc), validation_error=True)
     except Exception:
-        return {
-            "status": JobStatus.ERROR,
-            "verdict": None,
-            "check_stats": None,
-            "inputs": None,
-            "repair": None,
-            "elapsed_seconds": time.perf_counter() - start,
-            "error": traceback.format_exc(limit=8),
-        }
+        result = JobResult.failure(traceback.format_exc(limit=8))
+    result.elapsed_seconds = time.perf_counter() - start
+    return result.to_dict()
 
 
-def _execute_stream_job(spec: JobSpec, start: float) -> dict:
+def _execute_kernel_job(spec: JobSpec) -> JobResult:
+    """Run one ``kernel`` job (and its repair loop, if asked)."""
+    engine_cls = _engine_class(spec.engine)
+    tool = engine_cls.from_source(spec.source, spec.kernel_name)
+    report = tool.check(spec.launch_config())
+    if hasattr(tool, "inferred_symbolic_inputs"):      # SESA
+        inputs = {"symbolic": len(tool.inferred_symbolic_inputs()),
+                  "total": len(tool.taint.verdicts)}
+    elif hasattr(tool, "default_symbolic_inputs"):     # GKLEE(p)
+        n = len(tool.default_symbolic_inputs())
+        inputs = {"symbolic": n, "total": n}
+    else:
+        inputs = None
+    repair = None
+    if spec.repair and spec.engine == "sesa" and report.has_races:
+        from ..repair import repair_source
+        outcome = repair_source(
+            spec.source, config=spec.launch_config(),
+            kernel_name=spec.kernel_name,
+            time_budget_seconds=spec.config.time_budget_seconds)
+        repair = outcome.to_dict()
+    return JobResult(job_id=spec.job_id, status=JobStatus.DONE,
+                     engine=spec.engine, verdict=report.to_dict(),
+                     inputs=inputs, repair=repair)
+
+
+def _execute_stream_job(spec: JobSpec) -> JobResult:
     """Run one ``stream`` job: a whole multi-launch program.
 
     The per-launch results are cached under ``solver_cache_dir`` (the
@@ -113,8 +108,6 @@ def _execute_stream_job(spec: JobSpec, start: float) -> dict:
     failure — a malformed program is a :class:`JobValidationError`-class
     input error, not a crash.
     """
-    from dataclasses import asdict as dc_asdict
-
     from ..streams import StreamChecker, StreamProgram, StreamProgramError
     from .cache import ResultCache
     try:
@@ -129,35 +122,47 @@ def _execute_stream_job(spec: JobSpec, start: float) -> dict:
     except StreamProgramError as exc:
         raise JobValidationError(
             f"invalid job spec {spec.job_id!r}: {exc}") from None
-    return {
-        "status": JobStatus.DONE,
-        "verdict": report.to_dict(),
-        "check_stats": dc_asdict(report.stats),
-        "inputs": None,
-        "repair": None,
-        "elapsed_seconds": time.perf_counter() - start,
-        "error": None,
-    }
+    return JobResult(job_id=spec.job_id, status=JobStatus.DONE,
+                     engine=spec.engine, verdict=report.to_dict())
 
 
 # ----------------------------------------------------------------------
 # process isolation (shared by the batch scheduler and daemon workers)
 # ----------------------------------------------------------------------
 
+def _guarded(runner: Runner, spec_dict: dict) -> dict:
+    """*runner*'s payload; a runner that raises (its contract says it
+    should not) yields an ``error`` payload instead."""
+    try:
+        return runner(spec_dict)
+    except BaseException as exc:
+        return JobResult.failure(f"{type(exc).__name__}: {exc}").to_dict()
+
+
 def _child_entry(conn, runner: Runner, spec_dict: dict) -> None:
     """Worker-process entry: run the job, ship the payload, exit."""
-    try:
-        payload = runner(spec_dict)
-    except BaseException as exc:   # runner contract says it shouldn't raise
-        payload = {"status": JobStatus.ERROR, "verdict": None,
-                   "check_stats": None, "elapsed_seconds": 0.0,
-                   "error": f"{type(exc).__name__}: {exc}"}
+    payload = _guarded(runner, spec_dict)
     try:
         conn.send(payload)
     except Exception:
         pass
     finally:
         conn.close()
+
+
+def start_child(runner: Runner, spec_dict: dict):
+    """Start one worker process running *runner* on *spec_dict*;
+    returns ``(connection, process)``. The connection delivers the
+    payload, or EOF when the child dies first. Every job process the
+    service starts — scheduler, daemon worker, portfolio variant —
+    comes from here."""
+    parent_conn, child_conn = mp.Pipe(duplex=False)
+    proc = mp.Process(target=_child_entry,
+                      args=(child_conn, runner, spec_dict),
+                      daemon=True)
+    proc.start()
+    child_conn.close()
+    return parent_conn, proc
 
 
 def run_job_isolated(spec_dict: dict,
@@ -168,17 +173,9 @@ def run_job_isolated(spec_dict: dict,
 
     Returns ``('ok', payload_dict)``, ``('timeout', None)`` after a
     hard wall-clock kill, or ``('crash', exitcode)`` when the child
-    died without delivering a payload. Both the batch
-    :class:`~repro.service.scheduler.Scheduler` and the daemon
-    :class:`~repro.service.daemon.worker.WorkerDaemon` build their
-    fault handling on this single primitive.
+    died without delivering a payload.
     """
-    parent_conn, child_conn = mp.Pipe(duplex=False)
-    proc = mp.Process(target=_child_entry,
-                      args=(child_conn, runner, spec_dict),
-                      daemon=True)
-    proc.start()
-    child_conn.close()
+    parent_conn, proc = start_child(runner, spec_dict)
     payload = None
     readable = False
     try:
@@ -208,14 +205,38 @@ def run_job_isolated(spec_dict: dict,
     return "timeout", None
 
 
-def run_job_inline(spec_dict: dict,
-                   runner: Runner = execute_job) -> Tuple[str, object]:
-    """In-thread fallback for environments without ``fork``: crashes
-    are not contained and hard timeouts degrade to the engine's soft
-    budget, but the (outcome, payload) contract is identical."""
-    try:
-        return "ok", runner(spec_dict)
-    except BaseException as exc:
-        return "ok", {"status": JobStatus.ERROR, "verdict": None,
-                      "check_stats": None, "elapsed_seconds": 0.0,
-                      "error": f"{type(exc).__name__}: {exc}"}
+def run_attempt(spec_dict: dict, runner: Runner = execute_job,
+                timeout_seconds: Optional[float] = None,
+                isolate: bool = True) -> Tuple[str, JobResult]:
+    """One attempt at one job — the single primitive both the batch
+    :class:`~repro.service.scheduler.Scheduler` and the daemon
+    :class:`~repro.service.daemon.worker.WorkerDaemon` build their
+    fault handling on.
+
+    With *isolate* the job runs in a fresh process
+    (:func:`run_job_isolated`); without, in this thread — crashes are
+    then not contained and hard timeouts degrade to the engine's soft
+    budget. Returns ``(outcome, result)``: ``ok`` with the runner's
+    result, ``timeout`` with a ``timeout`` failure, or ``crash`` with
+    an ``error`` failure naming the exit code. The result carries the
+    spec's engine and the attempt's wall time; the caller sets the job
+    id, attempt count and cache key.
+    """
+    start = time.perf_counter()
+    if isolate:
+        outcome, payload = run_job_isolated(spec_dict, runner,
+                                            timeout_seconds)
+    else:
+        outcome, payload = "ok", _guarded(runner, spec_dict)
+    if outcome == "ok":
+        result = JobResult.from_dict(payload)
+    elif outcome == "timeout":
+        result = JobResult.failure(
+            f"hard timeout after {timeout_seconds}s",
+            status=JobStatus.TIMEOUT)
+    else:
+        result = JobResult.failure(
+            f"worker crashed (exit code {payload})")
+    result.engine = spec_dict.get("engine", "sesa")
+    result.elapsed_seconds = time.perf_counter() - start
+    return outcome, result

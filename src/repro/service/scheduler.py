@@ -27,9 +27,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .cache import ResultCache, is_verdict_entry
+from .cache import ResultCache
 from .jobs import JobResult, JobSpec, JobStatus
-from .runner import execute_job, run_job_inline, run_job_isolated
+from .runner import execute_job, run_attempt
 from .telemetry import Telemetry
 
 Runner = Callable[[dict], dict]
@@ -87,17 +87,9 @@ class Scheduler:
     # single-job execution
     # ------------------------------------------------------------------
 
-    def _run_isolated(self, spec_dict: dict):
-        """One attempt in a fresh process: ('ok', payload) |
-        ('timeout', None) | ('crash', exitcode)."""
-        return run_job_isolated(spec_dict, self.runner,
-                                self.timeout_seconds)
-
-    def _run_inline(self, spec_dict: dict):
-        return run_job_inline(spec_dict, self.runner)
-
     def _execute(self, spec: JobSpec, key: Optional[str]) -> JobResult:
-        """Run one job to a terminal status (with retries)."""
+        """Run one job to a terminal status, retrying crashes only: a
+        hard timeout would just burn its budget again."""
         spec_dict = spec.to_dict()
         start = time.perf_counter()
         if spec.repair:
@@ -106,91 +98,51 @@ class Scheduler:
         attempts = 0
         while True:
             attempts += 1
-            if self.isolate:
-                outcome, payload = self._run_isolated(spec_dict)
-            else:
-                outcome, payload = self._run_inline(spec_dict)
-            elapsed = time.perf_counter() - start
-            if outcome == "ok":
-                result = JobResult(
-                    job_id=spec.job_id,
-                    status=payload.get("status", JobStatus.ERROR),
-                    engine=spec.engine, attempts=attempts,
-                    elapsed_seconds=elapsed, cache_key=key,
-                    verdict=payload.get("verdict"),
-                    check_stats=payload.get("check_stats"),
-                    inputs=payload.get("inputs"),
-                    repair=payload.get("repair"),
-                    error=payload.get("error"))
-                if result.repair is not None:
-                    self.telemetry.emit(
-                        "repair_finished", job_id=spec.job_id,
-                        converged=result.repair.get("converged"),
-                        verified=result.repair.get("verified"),
-                        edits=len(result.repair.get("edits") or ()),
-                        iterations=result.repair.get("iterations"),
-                        recheck_queries=result.repair.get(
-                            "recheck_queries"),
-                        preamble_reuse=result.repair.get("preamble_reuse"))
-                if result.status == JobStatus.DONE \
-                        and self.cache is not None and key is not None:
-                    self.cache.put(key, payload)
-                return result
-            if outcome == "timeout":
-                # deterministic: a retry would just burn the budget again
-                return JobResult(
-                    job_id=spec.job_id, status=JobStatus.TIMEOUT,
-                    engine=spec.engine, attempts=attempts,
-                    elapsed_seconds=elapsed, cache_key=key,
-                    error=f"hard timeout after "
-                          f"{self.timeout_seconds}s")
+            outcome, result = run_attempt(spec_dict, self.runner,
+                                          self.timeout_seconds,
+                                          self.isolate)
+            if outcome != "crash" or attempts > self.max_retries:
+                break
             # crash — possibly transient (OOM kill, fork bomb next door)
-            if attempts > self.max_retries:
-                return JobResult(
-                    job_id=spec.job_id, status=JobStatus.ERROR,
-                    engine=spec.engine, attempts=attempts,
-                    elapsed_seconds=elapsed, cache_key=key,
-                    error=f"worker crashed (exit code {payload}) "
-                          f"after {attempts} attempt(s)")
             self.telemetry.emit("job_retry", job_id=spec.job_id,
-                                attempt=attempts, exit_code=payload)
+                                attempt=attempts, error=result.error)
             time.sleep(self.retry_backoff * attempts)
+        result.job_id, result.attempts, result.cache_key = \
+            spec.job_id, attempts, key
+        result.elapsed_seconds = time.perf_counter() - start
+        if outcome == "crash":
+            result.error += f" after {attempts} attempt(s)"
+        if result.repair is not None:
+            self.telemetry.emit(
+                "repair_finished", job_id=spec.job_id,
+                converged=result.repair.get("converged"),
+                verified=result.repair.get("verified"),
+                edits=len(result.repair.get("edits") or ()),
+                iterations=result.repair.get("iterations"),
+                recheck_queries=result.repair.get("recheck_queries"),
+                preamble_reuse=result.repair.get("preamble_reuse"))
+        if key is not None:
+            self.cache.put_result(key, result)
+        return result
 
     def _process_one(self, spec: JobSpec) -> JobResult:
         key = self.cache.key_for(spec) if self.cache is not None else None
         if key is not None:
-            payload = self.cache.get(key, is_verdict_entry)
-            if payload is not None:
+            result = self.cache.get_result(key, spec.job_id)
+            if result is not None:
                 self.telemetry.emit("cache_hit", job_id=spec.job_id,
                                     cache_key=key)
                 self.telemetry.emit("job_started", job_id=spec.job_id,
                                     engine=spec.engine, cached=True)
-                result = JobResult(
-                    job_id=spec.job_id, status=JobStatus.CACHED,
-                    engine=spec.engine, attempts=0, cached=True,
-                    cache_key=key, elapsed_seconds=0.0,
-                    verdict=payload.get("verdict"),
-                    check_stats=payload.get("check_stats"),
-                    inputs=payload.get("inputs"),
-                    repair=payload.get("repair"))
-                self._emit_finished(result)
+                self.telemetry.job_finished(result)
                 return result
             self.telemetry.emit("cache_miss", job_id=spec.job_id,
                                 cache_key=key)
         self.telemetry.emit("job_started", job_id=spec.job_id,
                             engine=spec.engine, cached=False)
         result = self._execute(spec, key)
-        self._emit_finished(result)
+        self.telemetry.job_finished(result)
         return result
-
-    def _emit_finished(self, result: JobResult) -> None:
-        self.telemetry.emit(
-            "job_finished", job_id=result.job_id, status=result.status,
-            attempts=result.attempts, cached=result.cached,
-            elapsed_seconds=round(result.elapsed_seconds, 6),
-            tier=(result.check_stats or {}).get("tier"),
-            check_stats=result.check_stats,
-            issues=result.issue_tags() if result.verdict else None)
 
     # ------------------------------------------------------------------
     # batch driving
@@ -224,11 +176,10 @@ class Scheduler:
                 try:
                     results[i] = self._process_one(spec)
                 except Exception as exc:  # scheduler bug — still record
-                    results[i] = JobResult(
-                        job_id=spec.job_id, status=JobStatus.ERROR,
-                        engine=spec.engine,
-                        error=f"scheduler: {type(exc).__name__}: {exc}")
-                    self._emit_finished(results[i])
+                    results[i] = JobResult.failure(
+                        f"scheduler: {type(exc).__name__}: {exc}",
+                        job_id=spec.job_id, engine=spec.engine)
+                    self.telemetry.job_finished(results[i])
                 finally:
                     jobs_by_worker[worker_id] += 1
                     work.task_done()

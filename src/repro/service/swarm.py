@@ -28,12 +28,12 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sym.swarm import (
-    RACY, SAFE, UNKNOWN, ShardOutcome, ShardSelector,
-    merge_shard_outcomes, plan_partitions, validate_partition,
+    ShardOutcome, ShardSelector, merge_shard_outcomes, plan_partitions,
+    validate_partition,
 )
-from .cache import ResultCache, cache_key, content_key, is_verdict_entry
+from .cache import ResultCache, cache_key, content_key
 from .jobs import JobResult, JobSpec, JobStatus
-from .runner import Runner, _child_entry, execute_job
+from .runner import Runner, execute_job, start_child
 from .scheduler import BatchResult, Scheduler
 from .telemetry import Telemetry
 
@@ -146,60 +146,45 @@ def merged_job_result(spec: JobSpec, outcomes: Sequence[ShardOutcome],
             f"{o.shard.label()}: {o.status}"
             + (f" ({o.error})" if o.error else "")
             for o in outcomes)
-        return JobResult(
-            job_id=spec.job_id, status=JobStatus.ERROR,
-            engine=spec.engine,
-            attempts=sum(1 for _ in outcomes),
-            elapsed_seconds=elapsed_seconds, cache_key=cache_key_used,
-            error=f"all {len(outcomes)} shard(s) failed: {failures}")
-    merged = merge_shard_outcomes(outcomes)
+        return JobResult.failure(
+            f"all {len(outcomes)} shard(s) failed: {failures}",
+            job_id=spec.job_id, engine=spec.engine,
+            attempts=len(outcomes), elapsed_seconds=elapsed_seconds,
+            cache_key=cache_key_used)
     return JobResult(
         job_id=spec.job_id, status=JobStatus.DONE, engine=spec.engine,
         attempts=len(outcomes), elapsed_seconds=elapsed_seconds,
-        cache_key=cache_key_used, verdict=merged,
-        check_stats=merged.get("check_stats"))
+        cache_key=cache_key_used, verdict=merge_shard_outcomes(outcomes))
 
 
 # ----------------------------------------------------------------------
 # portfolio mode
 # ----------------------------------------------------------------------
 
-def _definitive(payload: Optional[dict]) -> bool:
-    """A payload that settles the shard: completed, not timed out."""
-    return bool(payload) and payload.get("status") == JobStatus.DONE \
-        and not (payload.get("verdict") or {}).get("timed_out")
-
-
 def run_portfolio(spec_dict: dict,
                   variants: Sequence[Tuple[str, dict]] = DEFAULT_PORTFOLIO,
                   timeout_seconds: Optional[float] = None,
                   runner: Runner = execute_job) -> dict:
-    """Race *spec_dict* under several configs; first definitive answer
-    wins and the remaining workers are killed (terminate + join, so no
-    leaked processes). Falls back to the best non-definitive payload
-    (a completed-but-unknown verdict beats an error) when nobody wins.
+    """Race *spec_dict* under several configs; the first
+    :attr:`~repro.service.jobs.JobResult.definitive` answer wins and
+    the remaining workers are killed (terminate + join, so no leaked
+    processes). Falls back to the best non-definitive result (a
+    completed-but-unknown verdict beats an error) when nobody wins.
     """
     start = time.perf_counter()
     procs: Dict[object, Tuple[str, mp.Process]] = {}
     for name, overrides in variants:
-        variant = dict(spec_dict)
-        variant.update(overrides)
-        parent_conn, child_conn = mp.Pipe(duplex=False)
-        proc = mp.Process(target=_child_entry,
-                          args=(child_conn, runner, variant),
-                          daemon=True)
-        proc.start()
-        child_conn.close()
-        procs[parent_conn] = (name, proc)
+        conn, proc = start_child(runner, dict(spec_dict, **overrides))
+        procs[conn] = (name, proc)
 
     deadline = None if timeout_seconds is None \
         else time.monotonic() + timeout_seconds
-    winner_name = None
-    winner_payload = None
-    fallback: Tuple[int, Optional[str], Optional[dict]] = (99, None, None)
+    winner: Optional[Tuple[str, JobResult]] = None
+    fallback: Tuple[int, Optional[str], Optional[JobResult]] = \
+        (99, None, None)
     pending = dict(procs)
     try:
-        while pending and winner_payload is None:
+        while pending and winner is None:
             wait_for = None if deadline is None \
                 else max(0.0, deadline - time.monotonic())
             ready = mp_connection.wait(list(pending), timeout=wait_for)
@@ -208,15 +193,15 @@ def run_portfolio(spec_dict: dict,
             for conn in ready:
                 name, proc = pending.pop(conn)
                 try:
-                    payload = conn.recv()
+                    result = JobResult.from_dict(conn.recv())
                 except (EOFError, OSError):
-                    payload = None   # variant crashed
-                if _definitive(payload):
-                    winner_name, winner_payload = name, payload
+                    continue   # variant crashed
+                if result.definitive:
+                    winner = name, result
                     break
-                rank = 1 if payload and payload.get("verdict") else 2
-                if payload is not None and rank < fallback[0]:
-                    fallback = (rank, name, payload)
+                rank = 1 if result.verdict else 2
+                if rank < fallback[0]:
+                    fallback = (rank, name, result)
     finally:
         # cancel everything still running — winners, losers and
         # timeouts alike leave no processes behind
@@ -232,22 +217,18 @@ def run_portfolio(spec_dict: dict,
                 proc.kill()
                 proc.join()
 
-    if winner_payload is None:
-        _rank, winner_name, winner_payload = fallback
-    if winner_payload is None:
-        winner_payload = {
-            "status": JobStatus.ERROR, "verdict": None,
-            "check_stats": None, "inputs": None, "repair": None,
-            "elapsed_seconds": time.perf_counter() - start,
-            "error": "portfolio: no variant delivered a payload",
-        }
-    winner_payload = dict(winner_payload)
-    winner_payload["portfolio"] = {
-        "winner": winner_name,
-        "variants": [name for name, _ in variants],
+    if winner is None:
+        _rank, name, result = fallback
+        winner = name, result or JobResult.failure(
+            "portfolio: no variant delivered a payload",
+            elapsed_seconds=time.perf_counter() - start)
+    name, result = winner
+    result.portfolio = {
+        "winner": name,
+        "variants": [variant for variant, _ in variants],
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
-    return winner_payload
+    return result.to_dict()
 
 
 def portfolio_runner(variants: Sequence[Tuple[str, dict]]
@@ -292,12 +273,11 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
     for spec in specs:
         parent_key = swarm_cache_key(spec, num_shards) if cache else None
         if parent_key is not None:
-            payload = cache.get(parent_key, is_verdict_entry)
-            if payload is not None:
+            cached = cache.get_result(parent_key, spec.job_id)
+            if cached is not None:
                 telemetry.emit("cache_hit", job_id=spec.job_id,
                                cache_key=parent_key)
-                plans.append({"spec": spec, "cached": payload,
-                              "parent_key": parent_key})
+                plans.append({"spec": spec, "cached": cached})
                 continue
             telemetry.emit("cache_miss", job_id=spec.job_id,
                            cache_key=parent_key)
@@ -342,22 +322,13 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
     for plan in plans:
         spec = plan["spec"]
         if "cached" in plan:
-            payload = plan["cached"]
-            merged_results.append(JobResult(
-                job_id=spec.job_id, status=JobStatus.CACHED,
-                engine=spec.engine, attempts=0, cached=True,
-                cache_key=plan["parent_key"],
-                verdict=payload.get("verdict"),
-                check_stats=payload.get("check_stats")))
+            merged_results.append(plan["cached"])
             continue
         if "fallback" in plan:
             result = results[plan["fallback"]]
-            merged_results.append(result if result is not None
-                                  else JobResult(
-                                      job_id=spec.job_id,
-                                      status=JobStatus.ERROR,
-                                      engine=spec.engine,
-                                      error="no result recorded"))
+            merged_results.append(result or JobResult.failure(
+                "no result recorded", job_id=spec.job_id,
+                engine=spec.engine))
             continue
         window = results[plan["first"]:plan["first"] + plan["count"]]
         outcomes = outcomes_from_results(plan["selectors"], window)
@@ -378,14 +349,8 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
             unresolved=(parent.verdict or {}).get(
                 "swarm", {}).get("unresolved"),
             status=parent.status)
-        if parent.status == JobStatus.DONE and cache is not None \
-                and plan["parent_key"] is not None \
-                and not (parent.verdict or {}).get("timed_out"):
-            cache.put(plan["parent_key"], {
-                "status": JobStatus.DONE, "verdict": parent.verdict,
-                "check_stats": parent.check_stats, "inputs": None,
-                "repair": None, "elapsed_seconds": parent.elapsed_seconds,
-                "error": None})
+        if plan["parent_key"] is not None:
+            cache.put_result(plan["parent_key"], parent)
         merged_results.append(parent)
 
     return BatchResult(

@@ -85,6 +85,18 @@ class Telemetry:
                                 else None),
             workers=workers, **extra)
 
+    def job_finished(self, result: JobResult, **extra) -> dict:
+        """The one ``job_finished`` event per job (batch scheduler and
+        daemon worker alike; *extra* adds the emitter's own fields)."""
+        return self.emit(
+            "job_finished", job_id=result.job_id, status=result.status,
+            attempts=result.attempts, cached=result.cached,
+            elapsed_seconds=round(result.elapsed_seconds, 6),
+            tier=(result.check_stats or {}).get("tier"),
+            check_stats=result.check_stats,
+            issues=result.issue_tags() if result.verdict else None,
+            **extra)
+
     # ------------------------------------------------------------------
 
     def select(self, event: str) -> List[dict]:

@@ -58,7 +58,8 @@ from ..core.sesa import SESA
 from ..frontend import compile_source
 from ..ir import function_to_str, instruction_locs
 from ..passes import standard_pipeline
-from ..service.cache import content_key, is_verdict_entry
+from ..service.cache import content_key
+from ..service.jobs import JobResult, JobStatus
 from ..smt import SolverStats
 from ..sym import Executor, LaunchConfig
 from ..sym.access import Access, AccessKind
@@ -308,7 +309,6 @@ class StreamReport:
                 "program": self.program.to_dict(include_source=False),
                 "launches": [lo.to_dict() for lo in self.launches],
                 "hb": self.hb.to_dict(),
-                "stats": asdict(self.stats),
                 "inter_launch_races": [r.to_dict()
                                        for r in self.inter_launch_races],
             },
@@ -431,15 +431,15 @@ class StreamChecker(PairDischarge):
         sesa = self._sesa_for(launch.kernel)
         config = self._config_for(launch)
         fingerprint = launch_fingerprint(self.module, launch, config)
-        payload = self.cache.get(fingerprint, is_verdict_entry) \
+        hit = self.cache.get_result(fingerprint, launch.name) \
             if self.cache is not None else None
         side = None
-        if payload is not None:
+        if hit is not None:
             # cache hit: the verdict replays for free; the access
             # record (needed only for unordered pairs) is re-derived by
             # a solver-less executor run on the same deterministic path
             self.stats.launch_cache_hits += 1
-            verdict = payload["verdict"]
+            verdict = hit.verdict
             if need_accesses:
                 if config.symbolic_inputs is None:
                     config.symbolic_inputs = sesa.inferred_symbolic_inputs()
@@ -451,11 +451,11 @@ class StreamChecker(PairDischarge):
         else:
             report = sesa.check(config, max_reports=self.max_reports)
             verdict = report.to_dict()
-            if self.cache is not None and not verdict.get("timed_out"):
-                # timed-out verdicts are partial — never cache them
-                self.cache.put(fingerprint, {
-                    "verdict": verdict,
-                    "check_stats": verdict.get("check_stats")})
+            if self.cache is not None:
+                # a timed-out (partial) verdict is not stored
+                self.cache.put_result(fingerprint, JobResult(
+                    job_id=launch.name, status=JobStatus.DONE,
+                    verdict=verdict))
             if need_accesses and report.execution is not None:
                 side = _LaunchSide(index, launch, report.execution)
             cached = False

@@ -12,9 +12,10 @@ import repro.frontend
 import repro.service.cache as cache_module
 from repro.cli import main
 from repro.service import (
-    JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
-    trace_hit_rate,
+    JobResult, JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
+    run_swarm_batch, swarm_cache_key, trace_hit_rate,
 )
+from repro.service.daemon import JobStore, WorkerDaemon
 from repro.sym import LaunchConfig
 
 CLEAN = "__global__ void k(float *a) { a[threadIdx.x] = 1.0f; }"
@@ -210,6 +211,31 @@ class TestSchedulerIntegration:
         assert second.jobs[0].status == JobStatus.ERROR
         assert second.cache_hits == 0
 
+    def test_timed_out_verdicts_are_not_cached(self, tmp_path):
+        # a budget cut leaves a partial verdict (here: no races on a
+        # racy kernel); serving it from the cache would hide the race
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = _spec(RACY, job_id="cut", config=LaunchConfig(
+            check_oob=False, time_budget_seconds=1e-6))
+        key = cache.key_for(spec)
+
+        for _ in range(2):
+            job = Scheduler(cache=cache, isolate=False).run([spec]).jobs[0]
+            assert job.status == JobStatus.DONE
+            assert job.verdict["timed_out"]
+        for run in range(2):
+            # each daemon lifetime has its own queue, one shared cache
+            store = JobStore(str(tmp_path / f"queue{run}.db"))
+            store.submit(spec, key)
+            worker = WorkerDaemon(store, cache=cache, isolate=False)
+            assert worker.process_one()
+            row = store.get(store.list_jobs()[0].job_id)
+            assert row.result["status"] == JobStatus.DONE
+            assert not row.result["cached"]
+            store.close()
+        assert cache.hits == 0
+        assert not os.path.exists(cache._path(key))
+
 
 def _truncate(path):
     with open(path, "rb") as fh:
@@ -225,6 +251,13 @@ def _overwrite(value):
     return damage
 
 
+def _check_stats_list(path):
+    with open(path) as fh:
+        entry = json.load(fh)
+    entry["verdict"]["check_stats"] = []
+    _overwrite(entry)(path)
+
+
 def _leave_tmp_file(path):
     # a writer killed between write and rename: no entry, a stray
     # temporary beside where it would be
@@ -238,9 +271,10 @@ class TestDamagedEntries:
     @pytest.mark.parametrize("damage", [
         _truncate, _overwrite([]), _overwrite("x"),
         _overwrite({"verdict": 3}),
-        _overwrite({"verdict": {"races": [7]}}), _leave_tmp_file,
+        _overwrite({"verdict": {"races": [7]}}), _check_stats_list,
+        _leave_tmp_file,
     ], ids=["truncated", "list", "string", "verdict-not-object",
-            "race-not-object", "leftover-tmp"])
+            "race-not-object", "check-stats-list", "leftover-tmp"])
     def test_damaged_entry_is_rechecked_cold(self, tmp_path, damage):
         cache = ResultCache(str(tmp_path / "cache"))
         spec = _spec(RACY, config=LaunchConfig(check_oob=False))
@@ -257,6 +291,74 @@ class TestDamagedEntries:
         assert replay.jobs[0].status == JobStatus.CACHED
         assert json.dumps(replay.jobs[0].verdict, sort_keys=True) == \
             json.dumps(again.jobs[0].verdict, sort_keys=True)
+
+
+STREAM_SOURCE = """\
+__global__ void produce(int *a) { a[threadIdx.x] = threadIdx.x; }
+__global__ void consume(int *a, int *b) {
+  b[threadIdx.x] = a[threadIdx.x] + 1;
+}
+"""
+STREAM_PROGRAM = {
+    "name": "pipe", "buffers": {"a": 64, "b": 64},
+    "steps": [{"launch": "produce", "args": {"a": "a"}},
+              {"launch": "consume", "stream": 1,
+               "args": {"a": "a", "b": "b"}}],
+}
+
+
+def _key_count(node, name):
+    """How often *name* occurs as a key anywhere in a JSON tree."""
+    if isinstance(node, dict):
+        return (name in node) + sum(_key_count(v, name)
+                                    for v in node.values())
+    if isinstance(node, list):
+        return sum(_key_count(v, name) for v in node)
+    return 0
+
+
+class TestStoredEntries:
+    """A stored entry holds the check stats once, in its verdict, and
+    rebuilds into the record the cold run returned."""
+
+    def _assert_round_trip(self, cache, key, cold):
+        with open(cache._path(key)) as fh:
+            entry = json.load(fh)
+        assert _key_count(entry, "check_stats") == 1
+        assert "check_stats" not in entry
+        assert entry["verdict"]["check_stats"] == cold.check_stats
+        back = JobResult.from_dict(entry)
+        assert back.verdict == cold.verdict
+        assert back.check_stats == cold.check_stats
+        assert back.issue_tags() == cold.issue_tags()
+        assert back.has_issues == cold.has_issues
+
+    def test_kernel_job(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = _spec(RACY, config=LaunchConfig(check_oob=False))
+        cold = Scheduler(cache=cache).run([spec]).jobs[0]
+        assert cold.status == JobStatus.DONE and cold.has_issues
+        self._assert_round_trip(cache, cold.cache_key, cold)
+
+    def test_stream_job(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = JobSpec(job_id="pipe", source=STREAM_SOURCE,
+                       kind="stream",
+                       stream_program=dict(STREAM_PROGRAM))
+        cold = Scheduler(cache=cache).run([spec]).jobs[0]
+        assert cold.status == JobStatus.DONE and cold.has_issues
+        assert "stats" not in cold.verdict["stream"]
+        self._assert_round_trip(cache, cold.cache_key, cold)
+
+    def test_swarm_merged_parent(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = _spec(RACY, config=LaunchConfig(check_oob=False))
+        cold = run_swarm_batch([spec], 2, max_workers=2,
+                               cache=cache).jobs[0]
+        assert cold.status == JobStatus.DONE and cold.has_issues
+        key = swarm_cache_key(spec, 2)
+        assert cold.cache_key == key
+        self._assert_round_trip(cache, key, cold)
 
 
 def _fill(cache, n, age_seconds=0.0, start=0):
