@@ -472,9 +472,8 @@ def _phase_breakdown(cs) -> dict:
     """Per-phase wall clock and solver dispatch from a CheckStats."""
     if cs is None:
         return {}
-    # static_seconds is additive by construction: adjudication time on
-    # a statically resolved kernel (whose walk is execute_seconds), or
-    # the abandoned tier attempt preceding the engine phases
+    # the four phases are disjoint: the static tier's enumeration runs
+    # inside the pair steps and is carved out of solve_seconds
     total = cs.static_seconds + cs.execute_seconds + \
         cs.pairgen_seconds + cs.solve_seconds
     return {
@@ -514,9 +513,9 @@ def _print_phase_breakdown(cs) -> None:
         return
     phases = data["phases"]
     total = max(phases["total_seconds"], 1e-9)
-    tier_note = "resolved statically, no solver" \
+    tier_note = "every pair enumerated, no solver" \
         if data["tier"] == "static" else \
-        (f"static tier escalated: {data['static_bail_reason']}"
+        (f"static tier: {data['static_bail_reason']}"
          if data["static_bail_reason"] else "static tier off")
     print(f"tier: {data['tier']} ({tier_note})")
     print("profile (per-phase wall clock):")
@@ -530,7 +529,7 @@ def _print_phase_breakdown(cs) -> None:
     disp = data["dispatch"]
     if disp["static_pairs_checked"]:
         print(f"static tier: {disp['static_pairs_checked']} pairs "
-              f"checked, {disp['static_pairs_discharged']} discharged "
+              f"enumerated, {disp['static_pairs_discharged']} decided "
               f"without a solver")
     print("dispatch: "
           f"{disp['pairs_considered']} pairs, {disp['queries']} queries "

@@ -22,9 +22,11 @@ from .. import ir
 from ..frontend import compile_source
 from ..passes import analyze_taint, standard_pipeline
 from ..passes.taint import TaintReport
-from ..smt import CheckResult, Solver, mk_and
+from ..smt import CheckResult, Solver
+from ..static import run_static_tier, static_reason
 from ..sym import (
-    Executor, LaunchConfig, RaceChecker, analyze_resolvability,
+    ExecutionResult, Executor, LaunchConfig, RaceChecker,
+    analyze_resolvability,
 )
 from .report import AnalysisReport
 
@@ -77,59 +79,40 @@ class SESA:
 
     # ------------------------------------------------------------------
 
+    def execute(self, config: LaunchConfig) -> ExecutionResult:
+        """The one parametric execution of a check: fills in the
+        taint-inferred symbolic inputs when *config* leaves them unset,
+        then runs the executor."""
+        if config.symbolic_inputs is None:
+            config.symbolic_inputs = self.inferred_symbolic_inputs()
+        return Executor(self.module, self.kernel, config, mode="sesa",
+                        sink_value_ids=self.taint.sink_value_ids).run()
+
     def check(self, config: Optional[LaunchConfig] = None,
               max_reports: int = 16) -> AnalysisReport:
         """Full SESA analysis: taint-guided symbolisation, parametric
         execution with flow combining, race + OOB checking."""
         config = config or LaunchConfig()
         start = time.perf_counter()
-        if config.symbolic_inputs is None:
-            config.symbolic_inputs = self.inferred_symbolic_inputs()
-        # tier 0: solver-less static verdict for the easy majority; an
-        # escalation falls through to the exact single-tier pipeline
-        static_seconds = 0.0
-        static_reason: Optional[str] = None
-        if config.static_tier:
-            from ..static import run_static_tier
-            outcome = run_static_tier(
-                self.module, self.kernel, config,
-                sink_value_ids=self.taint.sink_value_ids,
-                max_reports=max_reports)
-            if outcome.resolved:
-                checker = outcome.checker
-                result = outcome.result
-                stats = checker.stats
-                stats.tier = "static"
-                stats.static_resolved = 1
-                stats.static_pairs_checked = outcome.pairs_checked
-                stats.static_pairs_discharged = outcome.pairs_discharged
-                stats.static_seconds = max(
-                    0.0, outcome.seconds - result.elapsed_seconds)
-                return AnalysisReport(
-                    kernel=self.kernel.name, mode="sesa",
-                    races=checker.races, oobs=checker.oobs,
-                    assertion_failures=checker.assertion_failures,
-                    taint=self.taint,
-                    resolvability=analyze_resolvability(result),
-                    execution=result, check_stats=stats,
-                    elapsed_seconds=time.perf_counter() - start)
-            static_seconds = outcome.seconds
-            static_reason = outcome.reason
-        executor = Executor(
-            self.module, self.kernel, config, mode="sesa",
-            sink_value_ids=self.taint.sink_value_ids)
-        result = executor.run()
+        result = self.execute(config)
         checker = RaceChecker(result, solver_budget=config.conflict_budget,
-                              max_reports=max_reports).check()
-        checker.stats.static_seconds = static_seconds
-        checker.stats.static_bail_reason = static_reason
+                              max_reports=max_reports)
+        # tier 0: on an enumerable record every pair is enumerated
+        # first and only pairs outside the fragment reach the solver
+        reason = static_reason(self.kernel, result) \
+            if config.static_tier else None
+        if config.static_tier and reason is None:
+            run_static_tier(checker)
+        else:
+            checker.check()
+            checker.stats.static_bail_reason = reason
         if checker.timed_out:
             result.timed_out = True
             result.warnings.append(
                 "race checking diverged from the shard plan"
                 if checker.plan_mismatch else
                 "race checking hit the wall-clock budget")
-        report = AnalysisReport(
+        return AnalysisReport(
             kernel=self.kernel.name, mode="sesa",
             races=checker.races, oobs=checker.oobs,
             assertion_failures=checker.assertion_failures,
@@ -137,8 +120,6 @@ class SESA:
             resolvability=analyze_resolvability(result),
             execution=result, check_stats=checker.stats,
             elapsed_seconds=time.perf_counter() - start)
-        return report
-
 
     def plan_check_groups(self, config: Optional[LaunchConfig] = None):
         """Enumerate the canonical pair groups without any solving.
@@ -149,13 +130,7 @@ class SESA:
         :meth:`RaceChecker.plan_groups`). Costs execution +
         pair generation only — no SAT queries.
         """
-        config = config or LaunchConfig()
-        if config.symbolic_inputs is None:
-            config.symbolic_inputs = self.inferred_symbolic_inputs()
-        executor = Executor(
-            self.module, self.kernel, config, mode="sesa",
-            sink_value_ids=self.taint.sink_value_ids)
-        result = executor.run()
+        result = self.execute(config or LaunchConfig())
         return RaceChecker(result).plan_groups()
 
     def generate_tests(self, config: Optional[LaunchConfig] = None
@@ -168,11 +143,7 @@ class SESA:
         that behaves distinctly gets one vector.
         """
         config = config or LaunchConfig()
-        if config.symbolic_inputs is None:
-            config.symbolic_inputs = self.inferred_symbolic_inputs()
-        executor = Executor(self.module, self.kernel, config, mode="sesa",
-                            sink_value_ids=self.taint.sink_value_ids)
-        result = executor.run()
+        result = self.execute(config)
         vectors: List[Dict[str, int]] = []
         for cond in result.final_flow_conds:
             solver = Solver(conflict_budget=50_000)

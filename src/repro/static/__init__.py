@@ -1,17 +1,19 @@
-"""Static pre-screening tier (tier 0 of the tiered checker).
+"""Static enumeration tier (tier 0 of the tiered checker).
 
-Resolves easy kernels — single-flow, affine-indexed, atomic-free —
-straight from a solver-less walk of the IR, well under a millisecond
-per kernel, and escalates everything else to the parametric engine
-untouched. Sound in both directions: a resolved verdict is one the
-full engine would also produce (the differential suite in
-``tests/static/`` enforces exactly that).
+Decides race and OOB queries over the engine's one execution record
+by exhaustive evaluation over the bounded thread box, pair by pair and
+without a solver. A pair outside the decidable fragment — symbolic
+scalar inputs, havoc'd loads, domains past the caps — falls back to
+the solver on its own; a record that is not enumerable at all
+(divergent flows, atomics, assertions, budgets, ...) is solved
+throughout. Exact in both directions: an enumerated verdict is the one
+the solver would give (the differential suite in ``tests/static/``
+enforces exactly that).
 """
 from .checker import StaticAdjudicator, StaticUnknown
-from .tier import StaticOutcome, run_static_tier
-from .walker import StaticBail, StaticWalker, prescreen, static_walk
+from .tier import prescreen, run_static_tier, static_reason
 
 __all__ = [
-    "StaticAdjudicator", "StaticBail", "StaticOutcome", "StaticUnknown",
-    "StaticWalker", "prescreen", "run_static_tier", "static_walk",
+    "StaticAdjudicator", "StaticUnknown", "prescreen", "run_static_tier",
+    "static_reason",
 ]

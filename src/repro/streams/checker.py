@@ -61,7 +61,7 @@ from ..passes import standard_pipeline
 from ..service.cache import content_key
 from ..service.jobs import JobResult, JobStatus
 from ..smt import SolverStats
-from ..sym import Executor, LaunchConfig
+from ..sym import LaunchConfig
 from ..sym.access import Access, AccessKind
 from ..sym.pairs import PairDischarge, PairSide, race_kind, witness_inputs
 from .hb import HappensBefore
@@ -441,12 +441,7 @@ class StreamChecker(PairDischarge):
             self.stats.launch_cache_hits += 1
             verdict = hit.verdict
             if need_accesses:
-                if config.symbolic_inputs is None:
-                    config.symbolic_inputs = sesa.inferred_symbolic_inputs()
-                executor = Executor(sesa.module, sesa.kernel, config,
-                                    mode="sesa",
-                                    sink_value_ids=sesa.taint.sink_value_ids)
-                side = _LaunchSide(index, launch, executor.run())
+                side = _LaunchSide(index, launch, sesa.execute(config))
             cached = True
         else:
             report = sesa.check(config, max_reports=self.max_reports)

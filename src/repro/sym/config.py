@@ -112,11 +112,11 @@ class LaunchConfig:
     #: reference path of the equivalence tests and the swarm
     #: ``no-pruning`` portfolio variant.
     pair_pruning: bool = True
-    #: tier 0 of the tiered checker (:mod:`repro.static`): try a
-    #: solver-less static verdict first and escalate to the parametric
-    #: engine only when the kernel leaves the decidable fragment.
-    #: ``False`` is the single-tier reference path the tier equivalence
-    #: tests compare against.
+    #: tier 0 of the tiered checker (:mod:`repro.static`): on an
+    #: enumerable execution record, decide each candidate pair by
+    #: enumeration first and solve only the pairs that leave the
+    #: decidable fragment. ``False`` is the solver-only reference path
+    #: the tier equivalence tests compare against.
     static_tier: bool = True
     #: swarm mode: a serialised :class:`repro.sym.swarm.ShardSelector`
     #: (or the selector itself) restricting the race check to one

@@ -17,9 +17,9 @@ checker's are threads of two different launches (``!L<i>``).
   a definite UNSAT can grant;
 * the race kind and the witness coordinates.
 
-The static tier reuses the intra-launch client with exhaustive
-evaluation in place of the solve (the ``discharge`` hook of
-``RaceChecker._check_pair``).
+The static tier runs the intra-launch client with exhaustive
+evaluation ahead of the solve (the ``discharge`` hook of
+``RaceChecker.check``).
 """
 from __future__ import annotations
 

@@ -153,18 +153,19 @@ class CheckStats:
     warm_pair_hits: int = 0       # pairs replayed from a disk artifact
     # -- tiered checking (repro.static) --------------------------------
     tier: str = "parametric"      # which tier produced this verdict
-    static_resolved: int = 0      # 1 when the static tier owned it
-    static_pairs_checked: int = 0
-    static_pairs_discharged: int = 0
-    #: why the static tier escalated (None: resolved / tier disabled)
+    static_resolved: int = 0      # 1 when every pair was enumerated
+    static_pairs_checked: int = 0     # pairs handed to enumeration
+    static_pairs_discharged: int = 0  # ... and decided by it
+    #: why the record was not enumerable, or the first reason a pair
+    #: fell back to the solver (None: resolved / tier disabled)
     static_bail_reason: Optional[str] = None
-    #: wall clock owned by the static tier: adjudication time when it
-    #: resolved (the walk is already in execute_seconds), or the whole
-    #: abandoned attempt when it escalated
-    static_seconds: float = 0.0
     # -- per-phase wall clock (seconds) -------------------------------
+    # disjoint: their sum never exceeds the report's elapsed_seconds
+    #: the static tier's enumeration, carved out of solve_seconds
+    static_seconds: float = 0.0
     execute_seconds: float = 0.0
     pairgen_seconds: float = 0.0
+    #: the pair, OOB and assertion steps, enumeration excluded
     solve_seconds: float = 0.0
     #: per-query solver dispatch counters, merged across all queries
     solver: SolverStats = field(default_factory=SolverStats)
@@ -325,19 +326,27 @@ class RaceChecker(PairDischarge):
     # driving
     # ------------------------------------------------------------------
 
-    def check(self) -> "RaceChecker":
+    def check(self, discharge: Optional[Discharge] = None,
+              discharge_oob: Optional[OOBDischarge] = None
+              ) -> "RaceChecker":
+        """Decide every candidate pair, OOB access and assertion.
+
+        *discharge* / *discharge_oob* decide what the cheaper steps
+        left open: :meth:`_solve_pair` / :meth:`_solve_oob` by default,
+        the static tier's enumeration with a solver fallback on an
+        enumerable record."""
         self.timed_out = False
         self._deadline = None
         if self.config.time_budget_seconds is not None:
             self._deadline = time.monotonic() + \
                 self.config.time_budget_seconds
-        self._check_races()
+        self._check_races(discharge or self._solve_pair)
         t0 = time.perf_counter()
         # a shard runs the single-thread checks only when it is the
         # designated aux owner, so the swarm covers them exactly once
         run_aux = self.shard is None or self.shard.check_aux
         if self.config.check_oob and not self.timed_out and run_aux:
-            self._check_oob()
+            self._check_oob(discharge_oob or self._solve_oob)
         if run_aux:
             self._check_assertions()
         self.stats.solve_seconds += time.perf_counter() - t0
@@ -362,7 +371,7 @@ class RaceChecker(PairDischarge):
                     loc=loc, witness=self._witness(model,
                                                    two_threads=False)))
 
-    def _check_races(self) -> None:
+    def _check_races(self, discharge: Discharge) -> None:
         # pair generation is lazy: early exit (reports full / time up)
         # stops generation itself, not just checking. The two phases'
         # wall clocks are attributed separately for the ablation bench.
@@ -376,7 +385,7 @@ class RaceChecker(PairDischarge):
             if len(self.races) >= self.max_reports or self._out_of_time():
                 return
             t0 = time.perf_counter()
-            self._check_pair(*item)
+            self._check_pair(*item, discharge)
             self.stats.solve_seconds += time.perf_counter() - t0
 
     def iter_grouped_pairs(self):
@@ -603,12 +612,11 @@ class RaceChecker(PairDischarge):
                 a1.instr_id == a2.instr_id)
 
     def _check_pair(self, a1: Access, a2: Access, same_bi: bool,
-                    discharge: Optional[Discharge] = None) -> None:
+                    discharge: Discharge) -> None:
         """Decide one candidate pair and emit its race, if any.
 
         *discharge* decides a pair that the pair memo, cross-run replay
-        and affine fast path left open: :meth:`_solve_pair` by default,
-        the static tier's exhaustive evaluation otherwise."""
+        and affine fast path left open."""
         self.stats.pairs_considered += 1
         obj = a1.obj
         memo_key = None
@@ -643,7 +651,7 @@ class RaceChecker(PairDischarge):
             self._record_pair(preamble, ppairs, pdigest, None)
             return
         was_timed_out = self.timed_out
-        verdict = (discharge or self._solve_pair)(a1, a2, same_bi)
+        verdict = discharge(a1, a2, same_bi)
         # a verdict cut short by the budget must not be replayed
         settled = memo_key is not None and self.timed_out == was_timed_out
         if verdict is None:
@@ -940,12 +948,11 @@ class RaceChecker(PairDischarge):
 
     # ------------------------------------------------------------------
 
-    def _check_oob(self, discharge: Optional[OOBDischarge] = None) -> None:
+    def _check_oob(self, discharge: OOBDischarge) -> None:
         """Report every access that can run past its object's end.
 
         *discharge* decides an access that the interval fast path left
-        open: :meth:`_solve_oob` by default, the static tier's
-        exhaustive evaluation otherwise."""
+        open."""
         seen: Set[tuple] = set()
         reported: Set[tuple] = set()
         for access in self.result.all_accesses():
@@ -970,7 +977,7 @@ class RaceChecker(PairDischarge):
                 if iv.hi <= obj.size_bytes - access.size:
                     self.stats.oob_pruned += 1
                     continue
-            model = (discharge or self._solve_oob)(access)
+            model = discharge(access)
             if model is not None:
                 reported.add((obj.name, access.loc))
                 self.oobs.append(OOBReport(
