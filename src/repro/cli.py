@@ -112,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split the race check into N shard jobs "
                             "run in parallel worker processes and "
                             "merge their verdicts (sesa only)")
-    check.add_argument("--portfolio", action="store_true",
-                       help="race every shard under several solver "
-                            "configs; first definitive answer wins "
-                            "(requires --swarm)")
     check.add_argument("--solver-cache", default=None, metavar="DIR",
                        help="warm-start solver artifact cache: adopt "
                             "persisted CNF snapshots / learned clauses "
@@ -212,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="swarm mode: shard every kernel's check "
                             "into N partitions and merge per kernel "
                             "(non-sesa jobs fall back to monolithic)")
-    batch.add_argument("--portfolio", action="store_true",
-                       help="race every shard under several solver "
-                            "configs (requires --swarm)")
     batch.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -419,9 +412,6 @@ def _render_swarm_result(result) -> None:
 def cmd_check(args) -> int:
     """The ``check`` subcommand: analyse and report races/OOB."""
     source = _read_source(args.file)
-    if args.portfolio and not args.swarm:
-        print("repro: --portfolio requires --swarm", file=sys.stderr)
-        return 2
     if args.swarm is not None:
         if args.swarm < 1:
             print("repro: --swarm must be >= 1", file=sys.stderr)
@@ -437,8 +427,7 @@ def cmd_check(args) -> int:
         except JobValidationError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
-        result = run_swarm_check(spec, args.swarm,
-                                 portfolio=args.portfolio)
+        result = run_swarm_check(spec, args.swarm)
         if args.json:
             print(json.dumps(result.to_dict(), indent=2))
         elif result.status in ("done", "cached"):
@@ -733,9 +722,6 @@ def cmd_batch(args) -> int:
         print("repro: corpus is empty (no kernel sources found)",
               file=sys.stderr)
         return 2
-    if args.portfolio and not args.swarm:
-        print("repro: --portfolio requires --swarm", file=sys.stderr)
-        return 2
     if args.swarm is not None and args.swarm < 1:
         print("repro: --swarm must be >= 1", file=sys.stderr)
         return 2
@@ -773,7 +759,7 @@ def cmd_batch(args) -> int:
                 specs, args.swarm, max_workers=args.jobs,
                 timeout_seconds=args.timeout,
                 max_retries=args.retries, cache=cache,
-                telemetry=telemetry, portfolio=args.portfolio)
+                telemetry=telemetry)
     else:
         batch = run_batch(specs, max_workers=args.jobs,
                           timeout_seconds=args.timeout,

@@ -43,8 +43,8 @@ from .jobs import (
 from .runner import execute_job, run_attempt, run_job_isolated
 from .scheduler import BatchResult, Scheduler, run_batch
 from .swarm import (
-    SwarmPlanError, plan_shard_specs, run_portfolio, run_swarm_batch,
-    run_swarm_check, swarm_cache_key,
+    SwarmPlanError, plan_shard_specs, run_swarm_batch, run_swarm_check,
+    swarm_cache_key,
 )
 from .telemetry import Telemetry
 
@@ -56,6 +56,6 @@ __all__ = [
     "load_corpus", "JOB_KINDS", "run_attempt", "run_batch",
     "run_job_isolated",
     "spec_from_kernel", "stream_jobs", "trace_hit_rate",
-    "SwarmPlanError", "plan_shard_specs", "run_portfolio",
-    "run_swarm_batch", "run_swarm_check", "swarm_cache_key",
+    "SwarmPlanError", "plan_shard_specs", "run_swarm_batch",
+    "run_swarm_check", "swarm_cache_key",
 ]

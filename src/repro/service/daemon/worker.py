@@ -1,7 +1,7 @@
 """Worker daemons: claim → run isolated → heartbeat → record.
 
 A :class:`WorkerDaemon` is one long-lived claim loop. Each claimed job
-runs in a *fresh forked process* (the same
+runs in a *fresh process* from the fork server (the same
 :func:`~repro.service.runner.run_attempt` the batch scheduler
 uses), so an analysis crash kills the child, not the worker;
 a :class:`~repro.service.daemon.lease.Heartbeat` thread renews the

@@ -236,9 +236,6 @@ class JobResult:
     error: Optional[str] = None
     #: the error is a malformed job spec, not an analysis failure
     validation_error: bool = False
-    #: which variant answered a :func:`~repro.service.swarm.run_portfolio`
-    #: race, among which
-    portfolio: Optional[dict] = None
 
     @classmethod
     def failure(cls, error: str, status: str = JobStatus.ERROR,
@@ -260,8 +257,7 @@ class JobResult:
     @property
     def definitive(self) -> bool:
         """Completed with a verdict that was not cut short by a budget:
-        the only kind of result the cache stores or a portfolio race
-        accepts as its answer."""
+        the only kind of result the cache stores."""
         return self.status == JobStatus.DONE \
             and not (self.verdict or {}).get("timed_out")
 
@@ -298,8 +294,6 @@ class JobResult:
         }
         if self.validation_error:
             out["validation_error"] = True
-        if self.portfolio is not None:
-            out["portfolio"] = self.portfolio
         return out
 
     @classmethod
@@ -319,5 +313,4 @@ class JobResult:
             inputs=data.get("inputs"),
             repair=data.get("repair"),
             error=data.get("error"),
-            validation_error=bool(data.get("validation_error")),
-            portfolio=data.get("portfolio"))
+            validation_error=bool(data.get("validation_error")))

@@ -16,19 +16,23 @@ Payload shape (:meth:`JobResult.to_dict`)::
      "elapsed_seconds": float, "error": str|None,
      "attempts": 1, "cached": false, "cache_key": null}
 
-plus ``"validation_error": true`` for a malformed spec and
-``"portfolio": {...}`` for a :func:`~repro.service.swarm.run_portfolio`
-answer.
+plus ``"validation_error": true`` for a malformed spec.
 
 The function lives at module top level so worker processes can reach
 it by import, and so tests can swap in their own runner (crashing,
-hanging, flaky) to exercise the scheduler's fault handling.
+hanging, flaky) to exercise the scheduler's fault handling. A runner
+is pickled by reference into its worker process, so every runner must
+be a module-level function. Each worker process also imports the main
+script first, so a script that starts jobs must guard its entry point
+with ``if __name__ == "__main__":``.
 :func:`run_attempt` is the one attempt the batch scheduler and the
 daemon worker make at a job, in a fresh process or in-thread.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import site
 import time
 import traceback
 from typing import Callable, Optional, Tuple
@@ -130,6 +134,35 @@ def _execute_stream_job(spec: JobSpec) -> JobResult:
 # process isolation (shared by the batch scheduler and daemon workers)
 # ----------------------------------------------------------------------
 
+#: every job process starts from one fork server: a single-threaded
+#: process that imported the checker once. Forking the multi-threaded
+#: scheduler or daemon directly could hand a child a lock that another
+#: thread held at that moment, and the child would wait on it forever.
+_CONTEXT = mp.get_context("forkserver")
+_CONTEXT.set_forkserver_preload(["repro.core", "repro.service"])
+
+
+def _export_package_dir() -> None:
+    """Put the directory this package is imported from on
+    ``PYTHONPATH``, unless it is already there or is a site directory.
+    The fork server is a fresh interpreter that does not apply this
+    process's ``sys.path`` (CPython passes it but never uses it), so a
+    process that found the package through a ``sys.path`` edit would get
+    a server that preloads nothing, and every job child would import
+    the checker itself (~0.3 s each)."""
+    package_dir = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+             if p]
+    known = {os.path.abspath(p) for p in paths}
+    known.update(site.getsitepackages(), [site.getusersitepackages()])
+    if package_dir not in known:
+        os.environ["PYTHONPATH"] = os.pathsep.join([package_dir, *paths])
+
+
+_export_package_dir()
+
+
 def _guarded(runner: Runner, spec_dict: dict) -> dict:
     """*runner*'s payload; a runner that raises (its contract says it
     should not) yields an ``error`` payload instead."""
@@ -154,12 +187,12 @@ def start_child(runner: Runner, spec_dict: dict):
     """Start one worker process running *runner* on *spec_dict*;
     returns ``(connection, process)``. The connection delivers the
     payload, or EOF when the child dies first. Every job process the
-    service starts — scheduler, daemon worker, portfolio variant —
-    comes from here."""
-    parent_conn, child_conn = mp.Pipe(duplex=False)
-    proc = mp.Process(target=_child_entry,
-                      args=(child_conn, runner, spec_dict),
-                      daemon=True)
+    service starts — batch scheduler or daemon worker — comes from
+    here, forked by the one fork server."""
+    parent_conn, child_conn = _CONTEXT.Pipe(duplex=False)
+    proc = _CONTEXT.Process(target=_child_entry,
+                            args=(child_conn, runner, spec_dict),
+                            daemon=True)
     proc.start()
     child_conn.close()
     return parent_conn, proc
@@ -169,7 +202,7 @@ def run_job_isolated(spec_dict: dict,
                      runner: Runner = execute_job,
                      timeout_seconds: Optional[float] = None,
                      ) -> Tuple[str, object]:
-    """One job attempt in a fresh forked process.
+    """One job attempt in a fresh process from the fork server.
 
     Returns ``('ok', payload_dict)``, ``('timeout', None)`` after a
     hard wall-clock kill, or ``('crash', exitcode)`` when the child

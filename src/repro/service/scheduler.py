@@ -1,7 +1,8 @@
 """Fault-isolating parallel scheduler for batch analysis jobs.
 
 Design: N dispatcher threads pull jobs from a shared queue; each job
-runs in its *own* worker process (fork + pipe) so that
+runs in its *own* worker process (forked by the fork server; the
+payload comes back over a pipe) so that
 
 * a hard wall-clock **timeout** can actually kill the work (terminate),
 * a worker **crash** (segfault, ``os._exit``, OOM kill) is contained —
@@ -11,10 +12,13 @@ runs in its *own* worker process (fork + pipe) so that
   poison its successors.
 
 The process-per-job model (rather than a long-lived pool) is what the
-robustness properties above rely on; fork on Linux makes the spawn
-cost a few milliseconds, far below a typical analysis. ``isolate=False``
-degrades to in-thread execution for environments without ``fork``
-(timeouts then rely on the engine's soft budget).
+robustness properties above rely on. Every job process is forked by one
+single-threaded fork server that imported the checker once
+(:func:`~repro.service.runner.start_child`): the first child in a
+process waits about 0.3 s for the server to start, each later one a few
+milliseconds, far below a typical analysis. ``isolate=False`` runs jobs in the dispatcher
+threads instead (crashes are not contained and timeouts then rely on
+the engine's soft budget); the tests use it.
 
 Results come back in **submission order** regardless of completion
 order, so batch output is deterministic modulo timing fields.

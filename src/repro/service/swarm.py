@@ -11,21 +11,14 @@ other job: the shard descriptor is part of the cache fingerprint, so
 the cache/dedup layers work unchanged and a shard verdict can never be
 confused with a monolithic one.
 
-Portfolio mode races the *same* shard under several solver configs
-(conflict budgets, pruning on/off) in parallel worker processes and
-takes the first definitive answer, killing the rest — useful when one
-config is pathologically slow on a particular shard.
-
 The merged verdict is :func:`repro.sym.swarm.merge_shard_outcomes`:
 racy if any shard is racy, safe only when every shard completed
 cleanly safe, unknown otherwise (with the unresolved shards listed).
 """
 from __future__ import annotations
 
-import multiprocessing as mp
-from multiprocessing import connection as mp_connection
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..sym.swarm import (
     ShardOutcome, ShardSelector, merge_shard_outcomes, plan_partitions,
@@ -33,7 +26,7 @@ from ..sym.swarm import (
 )
 from .cache import ResultCache, cache_key, content_key
 from .jobs import JobResult, JobSpec, JobStatus
-from .runner import Runner, execute_job, start_child
+from .runner import execute_job
 from .scheduler import BatchResult, Scheduler
 from .telemetry import Telemetry
 
@@ -41,18 +34,6 @@ from .telemetry import Telemetry
 class SwarmPlanError(RuntimeError):
     """The kernel cannot be swarm-planned (non-SESA engine, compile
     failure, ...). Callers fall back to the monolithic path."""
-
-
-#: default portfolio: the standard config, a low-conflict-budget
-#: sprint (wins when the queries are easy; gives up early when not),
-#: and the unpruned path (wins when pruning's pre-analysis is the
-#: bottleneck). All three produce sound verdicts; only "definitive"
-#: outcomes (completed, not timed out) may win the race.
-DEFAULT_PORTFOLIO: Tuple[Tuple[str, dict], ...] = (
-    ("default", {}),
-    ("low-budget", {"solver_conflict_budget": 20_000}),
-    ("no-pruning", {"pair_pruning": False}),
-)
 
 
 def swarm_cache_key(spec: JobSpec, num_shards: int) -> str:
@@ -158,91 +139,6 @@ def merged_job_result(spec: JobSpec, outcomes: Sequence[ShardOutcome],
 
 
 # ----------------------------------------------------------------------
-# portfolio mode
-# ----------------------------------------------------------------------
-
-def run_portfolio(spec_dict: dict,
-                  variants: Sequence[Tuple[str, dict]] = DEFAULT_PORTFOLIO,
-                  timeout_seconds: Optional[float] = None,
-                  runner: Runner = execute_job) -> dict:
-    """Race *spec_dict* under several configs; the first
-    :attr:`~repro.service.jobs.JobResult.definitive` answer wins and
-    the remaining workers are killed (terminate + join, so no leaked
-    processes). Falls back to the best non-definitive result (a
-    completed-but-unknown verdict beats an error) when nobody wins.
-    """
-    start = time.perf_counter()
-    procs: Dict[object, Tuple[str, mp.Process]] = {}
-    for name, overrides in variants:
-        conn, proc = start_child(runner, dict(spec_dict, **overrides))
-        procs[conn] = (name, proc)
-
-    deadline = None if timeout_seconds is None \
-        else time.monotonic() + timeout_seconds
-    winner: Optional[Tuple[str, JobResult]] = None
-    fallback: Tuple[int, Optional[str], Optional[JobResult]] = \
-        (99, None, None)
-    pending = dict(procs)
-    try:
-        while pending and winner is None:
-            wait_for = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            ready = mp_connection.wait(list(pending), timeout=wait_for)
-            if not ready:
-                break   # portfolio-level timeout
-            for conn in ready:
-                name, proc = pending.pop(conn)
-                try:
-                    result = JobResult.from_dict(conn.recv())
-                except (EOFError, OSError):
-                    continue   # variant crashed
-                if result.definitive:
-                    winner = name, result
-                    break
-                rank = 1 if result.verdict else 2
-                if rank < fallback[0]:
-                    fallback = (rank, name, result)
-    finally:
-        # cancel everything still running — winners, losers and
-        # timeouts alike leave no processes behind
-        for conn, (name, proc) in procs.items():
-            try:
-                conn.close()
-            except OSError:
-                pass
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-
-    if winner is None:
-        _rank, name, result = fallback
-        winner = name, result or JobResult.failure(
-            "portfolio: no variant delivered a payload",
-            elapsed_seconds=time.perf_counter() - start)
-    name, result = winner
-    result.portfolio = {
-        "winner": name,
-        "variants": [variant for variant, _ in variants],
-        "elapsed_seconds": round(time.perf_counter() - start, 6),
-    }
-    return result.to_dict()
-
-
-def portfolio_runner(variants: Sequence[Tuple[str, dict]]
-                     = DEFAULT_PORTFOLIO,
-                     timeout_seconds: Optional[float] = None) -> Runner:
-    """A scheduler-compatible runner that races each job through the
-    portfolio (the scheduler's own fork adds one extra process layer;
-    the variants are grandchildren, cleaned up by run_portfolio)."""
-    def run(spec_dict: dict) -> dict:
-        return run_portfolio(spec_dict, variants, timeout_seconds)
-    return run
-
-
-# ----------------------------------------------------------------------
 # batch driving
 # ----------------------------------------------------------------------
 
@@ -252,9 +148,8 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
                     max_retries: int = 1,
                     cache: Optional[ResultCache] = None,
                     telemetry: Optional[Telemetry] = None,
-                    portfolio: bool = False,
                     max_pairs_per_shard: Optional[int] = None,
-                    isolate: bool = True) -> BatchResult:
+                    ) -> BatchResult:
     """Check every spec swarm-style: plan shards, run them all through
     one scheduler pass, merge per parent. Parents that cannot be
     planned (non-SESA engine, compile failure at plan time) fall back
@@ -301,19 +196,12 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
         work.extend(shard_specs)
 
     # -- run every shard (and fallback) through one scheduler pass ---
-    runner = portfolio_runner(timeout_seconds=timeout_seconds) \
-        if portfolio else execute_job
     results: List[Optional[JobResult]] = []
     if work:
-        # portfolio mode supplies its own process isolation (one child
-        # per variant); the scheduler must then run the runner in its
-        # dispatcher threads — a daemonic scheduler child could not
-        # fork the variant processes
         sched = Scheduler(max_workers=max_workers,
                           timeout_seconds=timeout_seconds,
                           max_retries=max_retries, cache=cache,
-                          telemetry=telemetry, runner=runner,
-                          isolate=isolate and not portfolio)
+                          telemetry=telemetry, runner=execute_job)
         results = list(sched.run(work).jobs)
         results.extend([None] * (len(work) - len(results)))
 
@@ -365,9 +253,8 @@ def run_swarm_check(spec: JobSpec, num_shards: int, *,
                     timeout_seconds: Optional[float] = None,
                     cache: Optional[ResultCache] = None,
                     telemetry: Optional[Telemetry] = None,
-                    portfolio: bool = False,
                     max_pairs_per_shard: Optional[int] = None,
-                    isolate: bool = True) -> JobResult:
+                    ) -> JobResult:
     """Swarm-check a single kernel (the ``repro check --swarm N``
     path): plan, run shards in parallel, merge."""
     batch = run_swarm_batch(
@@ -375,6 +262,5 @@ def run_swarm_check(spec: JobSpec, num_shards: int, *,
         max_workers=max_workers if max_workers is not None
         else max(1, num_shards),
         timeout_seconds=timeout_seconds, cache=cache,
-        telemetry=telemetry, portfolio=portfolio,
-        max_pairs_per_shard=max_pairs_per_shard, isolate=isolate)
+        telemetry=telemetry, max_pairs_per_shard=max_pairs_per_shard)
     return batch.jobs[0]

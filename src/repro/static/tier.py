@@ -38,8 +38,8 @@ def prescreen(kernel: ir.Function, config: LaunchConfig) -> Optional[str]:
         # out with a partial report; the tier must not out-run it
         return "time budget"
     if config.solver_conflict_budget is not None:
-        # portfolio variants study solver behaviour under tiny budgets;
-        # a solver-less verdict would defeat the comparison
+        # a caller-set budget asks for solver behaviour; a
+        # solver-less verdict would not honour it
         return "solver budget override"
     for block in kernel.blocks:
         for instr in block.instrs:

@@ -109,8 +109,7 @@ class LaunchConfig:
     #: pre-solver pruning pipeline: record-time access summarization,
     #: disjointness-bucketed pair generation, canonical pair memoization
     #: and the interval OOB fast path. ``False`` is the unpruned
-    #: reference path of the equivalence tests and the swarm
-    #: ``no-pruning`` portfolio variant.
+    #: reference path of the equivalence tests.
     pair_pruning: bool = True
     #: tier 0 of the tiered checker (:mod:`repro.static`): on an
     #: enumerable execution record, decide each candidate pair by
@@ -122,8 +121,7 @@ class LaunchConfig:
     #: (or the selector itself) restricting the race check to one
     #: shard's ordinal ranges. ``None`` checks the whole pair space.
     shard: Optional[object] = None
-    #: per-query SAT conflict budget (portfolio variants run the same
-    #: shard under different budgets). ``None``: the engine default,
+    #: per-query SAT conflict budget. ``None``: the engine default,
     #: :data:`DEFAULT_CONFLICT_BUDGET`; any other value also keeps the
     #: solver-less static tier out of the way.
     solver_conflict_budget: Optional[int] = None

@@ -332,6 +332,14 @@ class TestStoredEntries:
         assert back.check_stats == cold.check_stats
         assert back.issue_tags() == cold.issue_tags()
         assert back.has_issues == cold.has_issues
+        # an entry written while portfolio mode existed still loads,
+        # and the retired key is dropped
+        cache.put(key, dict(entry, portfolio={
+            "winner": "default", "variants": ["default"],
+            "elapsed_seconds": 0.1}))
+        served = cache.get_result(key, "again")
+        assert served is not None and served.verdict == cold.verdict
+        assert "portfolio" not in served.to_dict()
 
     def test_kernel_job(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

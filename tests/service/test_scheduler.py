@@ -6,10 +6,18 @@ exercised in isolation and in milliseconds. The runners live at module
 level so worker processes can reach them under any start method.
 """
 import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 from repro.service import JobSpec, JobStatus, Scheduler, Telemetry
+from repro.service.runner import run_attempt
 from repro.service.scheduler import run_batch
+
+#: held by the test process while a job child tries to take it
+LOCK = threading.Lock()
 
 
 def _spec(job_id, **meta):
@@ -51,6 +59,28 @@ def flaky_runner(spec):
 
 def raising_runner(spec):
     raise ValueError("deterministic analysis failure")
+
+
+def router(spec):
+    if spec["job_id"] == "boom":
+        return crash_runner(spec)
+    return ok_runner(spec)
+
+
+def preload_runner(spec):
+    """Reports whether the child came from a fork server that imported
+    the checker: nothing this module imports loads ``repro.core``."""
+    return _payload(verdict={"races": [], "oobs": [],
+                             "preloaded": "repro.core" in sys.modules})
+
+
+def lock_runner(spec):
+    """Succeeds only if the child can take :data:`LOCK`: a child that
+    inherited it held (a plain fork of the test process) cannot."""
+    if not LOCK.acquire(timeout=2):
+        raise RuntimeError("LOCK was held in the child")
+    LOCK.release()
+    return ok_runner(spec)
 
 
 class TestOrderingAndCompletion:
@@ -119,17 +149,40 @@ class TestCrashIsolation:
 
     def test_crash_does_not_abort_siblings(self):
         specs = [_spec("a"), _spec("boom"), _spec("b")]
-
-        def router(spec):
-            if spec["job_id"] == "boom":
-                return crash_runner(spec)
-            return ok_runner(spec)
-
         batch = Scheduler(max_workers=3, max_retries=0,
                           runner=router).run(specs)
         statuses = [r.status for r in batch.jobs]
         assert statuses == [JobStatus.DONE, JobStatus.ERROR,
                             JobStatus.DONE]
+
+
+class TestChildStart:
+    def test_child_does_not_inherit_a_held_lock(self):
+        # the scheduler's dispatcher threads and the daemon's workers
+        # start children while other threads may hold locks; a child
+        # must start with none of them held
+        with LOCK:
+            outcome, result = run_attempt(_spec("locked").to_dict(),
+                                          lock_runner, timeout_seconds=20)
+        assert outcome == "ok"
+        assert result.status == JobStatus.DONE, result.error
+
+    def test_server_preloads_without_pythonpath(self, tmp_path):
+        # a process that put the package on sys.path by hand (not via
+        # PYTHONPATH) still gets a fork server that imported the checker
+        root = Path(__file__).resolve().parents[2]
+        code = (
+            f"import sys; sys.path[:0] = [{str(root / 'src')!r}, "
+            f"{str(root)!r}]\n"
+            "from repro.service.runner import run_attempt\n"
+            "from tests.service.test_scheduler import preload_runner\n"
+            "_, result = run_attempt({'job_id': 'p'}, preload_runner, 60)\n"
+            "print(result.verdict['preloaded'])\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.stdout.strip() == "True", out.stderr
 
 
 class TestRetry:

@@ -2,22 +2,19 @@
 
 The merge rule under fire: a shard that dies (SIGKILL mid-run), times
 out, or never reports must drag the parent verdict to UNKNOWN — never
-SAFE — with the dead shard identified; portfolio cancellation must
-leave no processes and no leased daemon rows behind. Runners are
-module-level functions so the forked scheduler/worker children inherit
-them directly.
+SAFE — with the dead shard identified and no leased daemon rows left
+behind. Runners are module-level functions so the scheduler/worker
+children can import them.
 """
 import json
-import multiprocessing as mp
 import os
 import signal
-import time
 
 import pytest
 
 from repro.service import (
-    JobSpec, SwarmPlanError, plan_shard_specs, run_portfolio,
-    run_swarm_batch, run_swarm_check, spec_from_kernel,
+    JobSpec, SwarmPlanError, plan_shard_specs, run_swarm_batch,
+    run_swarm_check, spec_from_kernel,
 )
 from repro.service.corpus import SUITES
 from repro.service.runner import execute_job
@@ -43,14 +40,6 @@ def kill_shard_two_runner(spec_dict):
     shard = spec_dict.get("shard") or {}
     if shard.get("index") == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return execute_job(spec_dict)
-
-
-def sleepy_budget_runner(spec_dict):
-    """A runner whose marker variant hangs (far beyond any test
-    budget) so the portfolio must cancel it."""
-    if spec_dict.get("solver_conflict_budget") == 123_456:
-        time.sleep(120)
     return execute_job(spec_dict)
 
 
@@ -128,38 +117,6 @@ def test_partial_verdicts_never_silently_safe():
 
 
 # ---------------------------------------------------------------------
-# portfolio cancellation
-# ---------------------------------------------------------------------
-
-def test_portfolio_cancels_losers_without_leaks():
-    spec = spec_from_kernel(_kernel("paper", "race_example"),
-                            suite="paper")
-    variants = (("sleepy", {"solver_conflict_budget": 123_456}),
-                ("fast", {}))
-    start = time.monotonic()
-    payload = run_portfolio(spec.to_dict(), variants=variants,
-                            runner=sleepy_budget_runner)
-    elapsed = time.monotonic() - start
-    assert payload["status"] == "done"
-    assert payload["portfolio"]["winner"] == "fast"
-    # the sleepy variant (120 s) was cancelled, not awaited
-    assert elapsed < 60
-    # no leaked variant processes: everything terminated and joined
-    assert mp.active_children() == []
-
-
-def test_portfolio_timeout_kills_everything():
-    spec = spec_from_kernel(_kernel("paper", "race_example"),
-                            suite="paper")
-    variants = (("sleepy", {"solver_conflict_budget": 123_456}),)
-    payload = run_portfolio(spec.to_dict(), variants=variants,
-                            timeout_seconds=1.0,
-                            runner=sleepy_budget_runner)
-    assert payload["status"] == "error"
-    assert mp.active_children() == []
-
-
-# ---------------------------------------------------------------------
 # planner guard rails
 # ---------------------------------------------------------------------
 
@@ -207,6 +164,8 @@ __global__ void k(int *a, int *b) {
     assert code == 1
     assert out["verdict"]["swarm"]["verdict"] == "racy"
 
-    assert main(["check", str(racy), "--portfolio"]) == 2
-    assert "--portfolio requires --swarm" in capsys.readouterr().err
+    # portfolio mode is retired: argparse rejects the option
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(racy), "--swarm", "2", "--portfolio"])
+    assert exc.value.code == 2
     assert main(["check", str(racy), "--swarm", "0"]) == 2
