@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     client_common(queue_cmd)
 
     cache_cmd = sub.add_parser(
-        "cache", help="inspect or prune the verdict cache")
+        "cache", help="inspect or prune the result cache (verdicts "
+                      "and solver artifacts)")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command",
                                          required=True)
     cstats = cache_sub.add_parser(
@@ -1008,21 +1009,17 @@ def cmd_queue(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """The ``cache`` subcommand: stats and pruning for the verdict
-    cache a long-running daemon shares with batch runs, and for the
-    solver warm-start artifacts living beside it (``solver/``) —
-    reported separately, evicted under the same policy."""
+    """The ``cache`` subcommand: stats and pruning for the one store a
+    long-running daemon shares with batch runs — verdicts, stream
+    entries and solver warm-start artifacts in one walk."""
     from .service import ResultCache, trace_hit_rate
-    from .smt import SolverArtifactStore
     if not os.path.isdir(args.cache_dir):
         print(f"repro: no cache at {args.cache_dir!r}",
               file=sys.stderr)
         return 2
     cache = ResultCache(args.cache_dir)
-    solver_store = SolverArtifactStore(args.cache_dir)
     if args.cache_command == "stats":
         stats = cache.disk_stats()
-        stats["solver"] = solver_store.disk_stats()
         trace = args.trace or os.path.join(args.cache_dir,
                                            "trace.jsonl")
         rate = trace_hit_rate(trace)
@@ -1033,10 +1030,6 @@ def cmd_cache(args) -> int:
         else:
             print(f"cache {stats['dir']}: {stats['entries']} entries, "
                   f"{stats['bytes']} bytes")
-            solver = stats["solver"]
-            print(f"solver artifacts {solver['dir']}: "
-                  f"{solver['entries']} entries, "
-                  f"{solver['bytes']} bytes")
             if stats["oldest_age_seconds"] is not None:
                 print(f"age span: {stats['newest_age_seconds']:.0f}s "
                       f"- {stats['oldest_age_seconds']:.0f}s")
@@ -1052,18 +1045,12 @@ def cmd_cache(args) -> int:
         return 2
     outcome = cache.prune(max_age_seconds=args.max_age,
                           max_bytes=args.max_bytes)
-    outcome["solver"] = solver_store.prune(
-        max_age_seconds=args.max_age, max_bytes=args.max_bytes)
     if args.json:
         print(json.dumps(outcome, indent=2))
     else:
         print(f"pruned {outcome['removed']} entries "
               f"({outcome['freed_bytes']} bytes) from "
               f"{outcome['dir']}; {outcome['kept']} kept")
-        solver = outcome["solver"]
-        print(f"pruned {solver['removed']} solver artifacts "
-              f"({solver['freed_bytes']} bytes) from "
-              f"{solver['dir']}; {solver['kept']} kept")
     return 0
 
 

@@ -9,9 +9,9 @@ operation:
   (:class:`JobSpec` in, :class:`JobResult` out);
 * :mod:`~repro.service.scheduler` — a parallel, fault-isolating
   scheduler (process-per-job, hard timeouts, bounded retries);
-* :mod:`~repro.service.cache` — a content-addressed verdict cache
-  keyed on (canonical IR with source locations, config, engine,
-  checker code digest);
+* :mod:`~repro.service.cache` — job verdicts in the one
+  content-keyed store (:mod:`repro.store`), keyed on (canonical IR
+  with source locations, config, engine, checker code digest);
 * :mod:`~repro.service.telemetry` — structured JSONL event traces
   plus aggregate summaries;
 * :mod:`~repro.service.corpus` — enumeration of the built-in paper
@@ -30,7 +30,8 @@ Typical use::
         print(job.job_id, job.status, job.issue_tags())
 """
 from .cache import (
-    ResultCache, cache_key, canonical_form, content_key, trace_hit_rate,
+    ResultCache, cache_key, canonical_form, content_key, get_result,
+    put_result, trace_hit_rate,
 )
 from .corpus import (
     SUITES, builtin_jobs, directory_jobs, file_job, load_corpus,
@@ -53,6 +54,7 @@ __all__ = [
     "JobValidationError", "ResultCache", "SUITES", "Scheduler",
     "Telemetry", "builtin_jobs", "cache_key", "canonical_form",
     "content_key", "directory_jobs", "execute_job", "file_job",
+    "get_result", "put_result",
     "load_corpus", "JOB_KINDS", "run_attempt", "run_batch",
     "run_job_isolated",
     "spec_from_kernel", "stream_jobs", "trace_hit_rate",

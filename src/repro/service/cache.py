@@ -16,27 +16,24 @@ Computing the canonical form costs a compile, so :func:`cache_key`
 memoises it per process: a bounded LRU maps ``sha256(source)`` to
 ``sha256(canonical form)``, and each distinct source is compiled once.
 
-Entries are one JSON file each under ``cache_dir/ab/abcdef....json``
-(two-level fan-out keeps directories small on big corpora). The stored
-verdict is byte-for-byte what the worker produced, so a cache hit
-reproduces the original verdict exactly. Job and launch verdicts go
-in and out only as :class:`~repro.service.jobs.JobResult` records,
-through :meth:`ResultCache.put_result` (which stores only a completed,
-not timed-out verdict) and :meth:`ResultCache.get_result`. An entry
-that does not parse, or parses to the wrong shape, is a miss: the job
-is re-checked cold.
+Entries live in the one content-keyed store
+(:class:`repro.store.ResultCache`). The stored verdict is
+byte-for-byte what the worker produced, so a cache hit reproduces the
+original verdict exactly. Job and launch verdicts go in and out only
+as :class:`~repro.service.jobs.JobResult` records, through
+:func:`put_result` (which stores only a completed, not timed-out
+verdict) and :func:`get_result`. An entry that does not parse, or
+parses to the wrong shape, is a miss: the job is re-checked cold.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
-from .. import code_digest
+from ..store import ResultCache, content_key
 from .jobs import JobResult, JobSpec, JobStatus
 
 #: distinct sources whose canonical-form digest :func:`cache_key` keeps
@@ -88,16 +85,6 @@ def form_digest(source: str) -> str:
     return digest
 
 
-def content_key(kind: str, **material) -> str:
-    """The one content-key scheme: SHA-256 over the sorted JSON of
-    *material*, tagged with its *kind* and :func:`repro.code_digest`.
-    Keys of different kinds never collide, even on equal material, so
-    every kind can share one :class:`ResultCache`."""
-    blob = json.dumps(dict(material, kind=kind, code=code_digest()),
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def cache_key(spec: JobSpec) -> str:
     """Key of one job's verdict: (canonical form, config fingerprint
     with the engine, checker code)."""
@@ -111,182 +98,48 @@ _NOT_STORED = ("job_id", "attempts", "elapsed_seconds", "cached",
                "cache_key", "check_stats")
 
 
-def _is_verdict_entry(entry: dict) -> bool:
-    """Whether *entry* has the shape of a stored result: status
+def _verdict_entry_problem(entry: dict) -> Optional[str]:
+    """``None`` if *entry* has the shape of a stored result: status
     ``done``, a ``verdict`` object whose races are objects and whose
     ``check_stats`` is an object or null, and optional ``inputs`` /
     ``repair`` objects."""
     verdict = entry.get("verdict")
     if entry.get("status") != JobStatus.DONE \
             or not isinstance(verdict, dict):
-        return False
+        return "not a stored result"
     races = verdict.get("races", [])
-    return (isinstance(races, list)
-            and all(isinstance(race, dict) for race in races)
-            and isinstance(verdict.get("check_stats"), (dict, type(None)))
-            and all(isinstance(entry.get(field), (dict, type(None)))
-                    for field in ("inputs", "repair")))
+    usable = (isinstance(races, list)
+              and all(isinstance(race, dict) for race in races)
+              and isinstance(verdict.get("check_stats"), (dict, type(None)))
+              and all(isinstance(entry.get(field), (dict, type(None)))
+                      for field in ("inputs", "repair")))
+    return None if usable else "not a stored result"
 
 
-class ResultCache:
-    """JSON-on-disk verdict cache with hit/miss accounting."""
+def get_result(cache: ResultCache, key: str,
+               job_id: str) -> Optional[JobResult]:
+    """The result stored under *key*, served to job *job_id* as a
+    ``cached`` record (zero attempts, zero elapsed), or ``None`` on a
+    miss; an entry of the wrong shape is a miss."""
+    entry = cache.get(key, _verdict_entry_problem)
+    if entry is None:
+        return None
+    result = JobResult.from_dict(entry)
+    result.job_id, result.status = job_id, JobStatus.CACHED
+    result.attempts, result.cached, result.cache_key = 0, True, key
+    return result
 
-    def __init__(self, cache_dir: str) -> None:
-        self.cache_dir = cache_dir
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        os.makedirs(cache_dir, exist_ok=True)
 
-    # ------------------------------------------------------------------
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, key[:2], key + ".json")
-
-    def key_for(self, spec: JobSpec) -> str:
-        return cache_key(spec)
-
-    def get(self, key: str,
-            valid: Optional[Callable[[dict], bool]] = None
-            ) -> Optional[dict]:
-        """The stored payload, or ``None`` on a miss. An entry that does
-        not parse, is not a JSON object, or fails *valid* (the reader's
-        shape check) counts as a miss, so the caller re-checks cold."""
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            payload = None
-        if not isinstance(payload, dict) \
-                or (valid is not None and not valid(payload)):
-            with self._lock:
-                self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        """Persist a worker payload (atomic rename; last writer wins)."""
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-
-    def get_result(self, key: str, job_id: str) -> Optional[JobResult]:
-        """The result stored under *key*, served to job *job_id* as a
-        ``cached`` record (zero attempts, zero elapsed), or ``None`` on
-        a miss; an entry of the wrong shape is a miss."""
-        entry = self.get(key, _is_verdict_entry)
-        if entry is None:
-            return None
-        result = JobResult.from_dict(entry)
-        result.job_id, result.status = job_id, JobStatus.CACHED
-        result.attempts, result.cached, result.cache_key = 0, True, key
-        return result
-
-    def put_result(self, key: str, result: JobResult) -> bool:
-        """Store *result* under *key* if it is :attr:`~JobResult.
-        definitive` — a failed or timed-out (partial) verdict is never
-        stored. Returns whether it was."""
-        if not result.definitive:
-            return False
-        entry = result.to_dict()
-        for name in _NOT_STORED:
-            del entry[name]
-        self.put(key, entry)
-        return True
-
-    # ------------------------------------------------------------------
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "lookups": self.lookups, "dir": self.cache_dir}
-
-    # ------------------------------------------------------------------
-    # operational maintenance (``repro cache`` / long-running daemons)
-    # ------------------------------------------------------------------
-
-    def _iter_entries(self):
-        """(path, size_bytes, mtime) for every entry on disk."""
-        for fanout in sorted(os.listdir(self.cache_dir)):
-            subdir = os.path.join(self.cache_dir, fanout)
-            if len(fanout) != 2 or not os.path.isdir(subdir):
-                continue
-            for name in sorted(os.listdir(subdir)):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(subdir, name)
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue   # pruned concurrently
-                yield path, st.st_size, st.st_mtime
-
-    def disk_stats(self) -> dict:
-        """What is actually on disk (entry count, bytes, age span)."""
-        entries = bytes_total = 0
-        oldest = newest = None
-        now = time.time()
-        for _path, size, mtime in self._iter_entries():
-            entries += 1
-            bytes_total += size
-            age = now - mtime
-            oldest = age if oldest is None else max(oldest, age)
-            newest = age if newest is None else min(newest, age)
-        return {"dir": self.cache_dir, "entries": entries,
-                "bytes": bytes_total,
-                "oldest_age_seconds": (round(oldest, 3)
-                                       if oldest is not None else None),
-                "newest_age_seconds": (round(newest, 3)
-                                       if newest is not None else None)}
-
-    def prune(self, max_age_seconds: Optional[float] = None,
-              max_bytes: Optional[int] = None) -> dict:
-        """Bound the cache directory for long-running daemons.
-
-        Two independent policies, applied in order: entries older than
-        *max_age_seconds* are always evicted; then, if the survivors
-        still exceed *max_bytes*, the oldest are evicted until the
-        total fits (classic LRU-by-mtime — ``get`` does not bump
-        mtimes, so this is strictly eviction by write age).
-        """
-        now = time.time()
-        survivors = []
-        removed = freed = 0
-        for path, size, mtime in self._iter_entries():
-            if max_age_seconds is not None \
-                    and now - mtime > max_age_seconds:
-                removed += 1
-                freed += size
-                self._remove(path)
-            else:
-                survivors.append((mtime, size, path))
-        if max_bytes is not None:
-            survivors.sort()   # oldest first
-            total = sum(size for _mtime, size, _path in survivors)
-            while survivors and total > max_bytes:
-                _mtime, size, path = survivors.pop(0)
-                removed += 1
-                freed += size
-                total -= size
-                self._remove(path)
-        return {"removed": removed, "freed_bytes": freed,
-                "kept": len(survivors), "dir": self.cache_dir}
-
-    @staticmethod
-    def _remove(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass   # already gone — eviction is idempotent
+def put_result(cache: ResultCache, key: str, result: JobResult) -> bool:
+    """Store *result* under *key* if it is :attr:`~JobResult.
+    definitive` — a failed or timed-out (partial) verdict is never
+    stored. Returns whether it was: a failed write is not an error."""
+    if not result.definitive:
+        return False
+    entry = result.to_dict()
+    for name in _NOT_STORED:
+        del entry[name]
+    return cache.put(key, entry)
 
 
 def trace_hit_rate(trace_path: str) -> Optional[dict]:

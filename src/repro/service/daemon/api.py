@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from ... import __version__ as TOOL_VERSION
 from ...sym.swarm import ShardSelector
-from ..cache import ResultCache, cache_key
+from ..cache import ResultCache, cache_key, get_result, put_result
 from ..corpus import SUITES, builtin_jobs
 from ..jobs import JobResult, JobSpec, JobState, JobStatus, \
     JobValidationError
@@ -118,7 +118,7 @@ class SwarmMerger:
             return True   # another merger instance won the race
         self.merged += 1
         if self.cache is not None:
-            self.cache.put_result(parent.fingerprint, result)
+            put_result(self.cache, parent.fingerprint, result)
         verdict = result.verdict or {}
         self.telemetry.emit(
             "swarm_merged", job_id=parent.job_id,
@@ -212,8 +212,7 @@ class Daemon:
     def submit_spec(self, spec: JobSpec) -> dict:
         """Validate, fingerprint, and enqueue one spec."""
         spec.validate()
-        fingerprint = (self.cache.key_for(spec) if self.cache
-                       else cache_key(spec))
+        fingerprint = cache_key(spec)
         job_id, deduped = self.store.submit(spec, fingerprint)
         self.telemetry.emit(
             "job_deduped" if deduped else "job_submitted",
@@ -232,7 +231,7 @@ class Daemon:
         """
         spec.validate()
         parent_key = swarm_cache_key(spec, num_shards)
-        cached = self.cache.get_result(parent_key, spec.job_id) \
+        cached = get_result(self.cache, parent_key, spec.job_id) \
             if self.cache is not None else None
         if cached is not None:
             job_id, deduped = self.store.submit(

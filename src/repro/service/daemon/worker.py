@@ -29,7 +29,7 @@ import threading
 import time
 from typing import Optional
 
-from ..cache import ResultCache
+from ..cache import ResultCache, get_result, put_result
 from ..jobs import JobResult, JobState, JobStatus
 from ..runner import Runner, execute_job, run_attempt
 from ..telemetry import Telemetry
@@ -138,7 +138,7 @@ class WorkerDaemon:
         # dedup fast path: an identical submission already paid for
         # this verdict (possibly in a previous daemon's lifetime)
         if self.cache is not None:
-            result = self.cache.get_result(job.fingerprint, job.job_id)
+            result = get_result(self.cache, job.fingerprint, job.job_id)
             if result is not None:
                 result.attempts = job.attempts
                 self.telemetry.emit("cache_hit", job_id=job.job_id,
@@ -186,7 +186,7 @@ class WorkerDaemon:
                                 attempt=job.attempts)
             return True
         if self.cache is not None:
-            self.cache.put_result(job.fingerprint, result)
+            put_result(self.cache, job.fingerprint, result)
         self._record(job, result, state)
         return True
 

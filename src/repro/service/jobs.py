@@ -215,7 +215,7 @@ class JobResult:
     Its wire form (:meth:`to_dict`) is the payload a runner ships back
     from its worker process, the daemon's stored job row and — less
     each reader's own bookkeeping — the result-cache entry
-    (:meth:`repro.service.cache.ResultCache.put_result`). Every reader
+    (:func:`repro.service.cache.put_result`). Every reader
     rebuilds the record with :meth:`from_dict`.
     """
 

@@ -119,8 +119,12 @@ def _execute_stream_job(spec: JobSpec) -> JobResult:
             dict(spec.stream_program or {}, source=spec.source,
                  name=(spec.stream_program or {}).get("name")
                  or spec.job_id))
-        cache_dir = spec.config.solver_cache_dir
-        cache = ResultCache(cache_dir) if cache_dir else None
+        cache = None
+        if spec.config.solver_cache_dir:
+            try:
+                cache = ResultCache(spec.config.solver_cache_dir)
+            except OSError:
+                pass   # an unusable cache only costs the replay
         report = StreamChecker(program, cache=cache,
                                config=spec.launch_config()).check()
     except StreamProgramError as exc:

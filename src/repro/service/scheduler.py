@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .cache import ResultCache
+from .cache import ResultCache, cache_key, get_result, put_result
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import execute_job, run_attempt
 from .telemetry import Telemetry
@@ -126,13 +126,13 @@ class Scheduler:
                 recheck_queries=result.repair.get("recheck_queries"),
                 preamble_reuse=result.repair.get("preamble_reuse"))
         if key is not None:
-            self.cache.put_result(key, result)
+            put_result(self.cache, key, result)
         return result
 
     def _process_one(self, spec: JobSpec) -> JobResult:
-        key = self.cache.key_for(spec) if self.cache is not None else None
+        key = cache_key(spec) if self.cache is not None else None
         if key is not None:
-            result = self.cache.get_result(key, spec.job_id)
+            result = get_result(self.cache, key, spec.job_id)
             if result is not None:
                 self.telemetry.emit("cache_hit", job_id=spec.job_id,
                                     cache_key=key)
@@ -234,7 +234,7 @@ def run_batch(specs: Sequence[JobSpec], *,
         for spec in specs:
             spec.engine = engine
     if cache_dir:
-        # solver warm-start artifacts live beside the verdict cache;
+        # solver warm-start artifacts share the verdict cache's store;
         # explicit per-spec dirs win (and None stays None when the
         # batch has no cache at all)
         for spec in specs:

@@ -24,7 +24,9 @@ from ..sym.swarm import (
     ShardOutcome, ShardSelector, merge_shard_outcomes, plan_partitions,
     validate_partition,
 )
-from .cache import ResultCache, cache_key, content_key
+from .cache import (
+    ResultCache, cache_key, content_key, get_result, put_result,
+)
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import execute_job
 from .scheduler import BatchResult, Scheduler
@@ -168,7 +170,7 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
     for spec in specs:
         parent_key = swarm_cache_key(spec, num_shards) if cache else None
         if parent_key is not None:
-            cached = cache.get_result(parent_key, spec.job_id)
+            cached = get_result(cache, parent_key, spec.job_id)
             if cached is not None:
                 telemetry.emit("cache_hit", job_id=spec.job_id,
                                cache_key=parent_key)
@@ -238,7 +240,7 @@ def run_swarm_batch(specs: Sequence[JobSpec], num_shards: int, *,
                 "swarm", {}).get("unresolved"),
             status=parent.status)
         if plan["parent_key"] is not None:
-            cache.put_result(plan["parent_key"], parent)
+            put_result(cache, plan["parent_key"], parent)
         merged_results.append(parent)
 
     return BatchResult(

@@ -24,9 +24,7 @@ from .affine import (
 )
 from .solver import CheckResult, Model, Solver, SolverStats, get_model, is_sat
 from .session import QueryMemo, SolverSession, TemplateCache
-from .persist import (
-    SolverArtifactStore, canonical_term, preamble_fingerprint,
-)
+from .persist import canonical_term, preamble_fingerprint
 
 __all__ = [
     "BOOL", "BV1", "BV8", "BV16", "BV32", "BV64", "BoolSort", "BVSort",
@@ -45,5 +43,5 @@ __all__ = [
     "injective_on_box", "stride_separated",
     "CheckResult", "Model", "Solver", "SolverStats", "get_model", "is_sat",
     "QueryMemo", "SolverSession", "TemplateCache",
-    "SolverArtifactStore", "canonical_term", "preamble_fingerprint",
+    "canonical_term", "preamble_fingerprint",
 ]

@@ -58,7 +58,7 @@ from ..core.sesa import SESA
 from ..frontend import compile_source
 from ..ir import function_to_str, instruction_locs
 from ..passes import standard_pipeline
-from ..service.cache import content_key
+from ..service.cache import content_key, get_result, put_result
 from ..service.jobs import JobResult, JobStatus
 from ..smt import SolverStats
 from ..sym import LaunchConfig
@@ -172,13 +172,16 @@ _RACE_FIELDS = frozenset(("kind", "buffer", "launch1", "launch2",
                           "kernel1", "kernel2", "param1", "param2"))
 
 
-def _is_pair_entry(payload: dict) -> bool:
-    """Shape check for a cached launch-pair entry: ``{"races": [...]}``
-    with every race rebuildable by :meth:`InterLaunchRace.from_dict`."""
+def _pair_entry_problem(payload: dict) -> Optional[str]:
+    """Shape check for a cached launch-pair entry: ``None`` for
+    ``{"races": [...]}`` with every race rebuildable by
+    :meth:`InterLaunchRace.from_dict`."""
     races = payload.get("races")
-    return isinstance(races, list) and all(
-        isinstance(race, dict) and _RACE_FIELDS <= race.keys()
-        for race in races)
+    if isinstance(races, list) and all(
+            isinstance(race, dict) and _RACE_FIELDS <= race.keys()
+            for race in races):
+        return None
+    return "not a launch-pair entry"
 
 
 @dataclass
@@ -431,7 +434,7 @@ class StreamChecker(PairDischarge):
         sesa = self._sesa_for(launch.kernel)
         config = self._config_for(launch)
         fingerprint = launch_fingerprint(self.module, launch, config)
-        hit = self.cache.get_result(fingerprint, launch.name) \
+        hit = get_result(self.cache, fingerprint, launch.name) \
             if self.cache is not None else None
         side = None
         if hit is not None:
@@ -448,7 +451,7 @@ class StreamChecker(PairDischarge):
             verdict = report.to_dict()
             if self.cache is not None:
                 # a timed-out (partial) verdict is not stored
-                self.cache.put_result(fingerprint, JobResult(
+                put_result(self.cache, fingerprint, JobResult(
                     job_id=launch.name, status=JobStatus.DONE,
                     verdict=verdict))
             if need_accesses and report.execution is not None:
@@ -580,7 +583,7 @@ class StreamChecker(PairDischarge):
                 self.timed_out = True
                 continue
             pair_fp = self._pair_fingerprint(outcomes[i], outcomes[j])
-            payload = self.cache.get(pair_fp, _is_pair_entry) \
+            payload = self.cache.get(pair_fp, _pair_entry_problem) \
                 if self.cache is not None else None
             if payload is not None:
                 self.stats.pair_cache_hits += 1

@@ -125,11 +125,13 @@ class LaunchConfig:
     #: :data:`DEFAULT_CONFLICT_BUDGET`; any other value also keeps the
     #: solver-less static tier out of the way.
     solver_conflict_budget: Optional[int] = None
-    #: directory for cross-run solver warm-start artifacts (preamble
-    #: CNF snapshots, learned clauses, memoized verdicts — see
-    #: :mod:`repro.smt.persist`). ``None`` disables persistence. This
-    #: is a pure accelerator: it is deliberately NOT part of any cache
-    #: fingerprint, because it must never change a verdict.
+    #: the :class:`repro.store.ResultCache` directory for solver
+    #: warm-start artifacts (preamble CNF snapshots, learned clauses,
+    #: memoized verdicts — see :mod:`repro.smt.persist`) and for a
+    #: stream job's launch and launch-pair verdicts. ``None`` disables
+    #: persistence. This is a pure accelerator: it is deliberately NOT
+    #: part of any cache fingerprint, because it must never change a
+    #: verdict.
     solver_cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..smt.persist import (
-    SolverArtifactStore, canonical_term, preamble_fingerprint,
+    artifact_problem, canonical_term, make_artifact, preamble_fingerprint,
 )
 from ..smt.subst import EvaluationError, evaluate
+from ..store import ResultCache, content_key
 
 from .. import ir
 from ..smt import (
@@ -222,12 +223,19 @@ class RaceChecker(PairDischarge):
         self._side2 = PairSide(result, "!2", shared=self._side1)
         self._summary_bounds = self._side1.summary_bounds
         self._div_cache: Dict[int, bool] = {}
-        # cross-run warm start: content-addressed solver artifacts under
-        # the configured cache dir (None: no persistence, the default)
+        # cross-run warm start: solver artifacts are entries of the one
+        # content-keyed store in the configured cache dir (None: no
+        # persistence, the default); an unusable dir only cold-starts
+        self._store: Optional[ResultCache] = None
         cache_dir = self.config.solver_cache_dir
-        self._store: Optional[SolverArtifactStore] = \
-            SolverArtifactStore(cache_dir) if cache_dir else None
-        self._pkey_fp: Dict[Tuple[int, ...], str] = {}
+        if cache_dir:
+            try:
+                self._store = ResultCache(cache_dir)
+            except OSError as exc:
+                self._warn(f"solver artifact store {cache_dir!r} "
+                           f"unusable ({exc}); cold-starting")
+        #: preamble -> the content key of its artifact
+        self._artifact_keys: Dict[Tuple[int, ...], str] = {}
         self._warm_artifact: Dict[Tuple[int, ...], dict] = {}
         self._persist_memo: Dict[Tuple[int, ...],
                                  Dict[str, Tuple[str, Optional[dict]]]] = {}
@@ -840,14 +848,15 @@ class RaceChecker(PairDischarge):
         """Persist every session's snapshot + memo (end of ``check``).
 
         Returns the number of artifacts written. A session that never
-        reached the SAT layer exports nothing and is skipped.
+        reached the SAT layer exports nothing and is skipped; a failed
+        write leaves a warning on the execution record.
         """
         if self._store is None:
             return 0
         written = 0
         for pkey in sorted(self._persist_dirty):
-            fp = self._pkey_fp.get(pkey)
-            if fp is None:
+            key = self._artifact_keys.get(pkey)
+            if key is None:
                 continue
             session = self._sessions.get(pkey)
             state = session.export_state() if session is not None else None
@@ -862,10 +871,19 @@ class RaceChecker(PairDischarge):
             memo = [(canon, verdict, values)
                     for canon, (verdict, values)
                     in self._persist_memo.get(pkey, {}).items()]
-            self._store.save(fp, state, memo,
-                             self._persist_pairs.get(pkey, {}))
-            written += 1
+            artifact = make_artifact(state, memo,
+                                     self._persist_pairs.get(pkey, {}))
+            if self._store.put(key, artifact):
+                written += 1
+            else:
+                self._warn(f"solver artifact {key[:12]} not saved "
+                           f"(write failed); the next run cold-starts")
         return written
+
+    def _warn(self, warning: str) -> None:
+        warnings = self.result.warnings
+        if warning not in warnings:
+            warnings.append(warning)
 
     def _warm_session(self, preamble: Sequence[Term],
                       pkey: Tuple[int, ...],
@@ -881,19 +899,18 @@ class RaceChecker(PairDischarge):
     def _ensure_warm(self, preamble: Sequence[Term],
                      pkey: Tuple[int, ...]) -> None:
         """Load the persisted artifact for this preamble (once per
-        checker): fingerprint, disk read, validation. Any failure —
-        missing file, corruption, version skew — cold-starts, with a
-        warning on the execution record for the non-miss cases."""
-        if self._store is None or pkey in self._pkey_fp:
+        checker): fingerprint, disk read, validation. Any failure cold-
+        starts; a damaged entry (not a plain miss) also leaves a warning
+        on the execution record."""
+        if self._store is None or pkey in self._artifact_keys:
             return
-        fp = preamble_fingerprint(preamble)
-        self._pkey_fp[pkey] = fp
-        artifact, warning = self._store.load(fp)
-        if warning is not None:
-            warnings = self.result.warnings
-            if warning not in warnings:
-                warnings.append(warning)
-            return
+        key = content_key("solver_artifact",
+                          preamble=preamble_fingerprint(preamble))
+        self._artifact_keys[pkey] = key
+        artifact, reason = self._store.lookup(key, artifact_problem)
+        if reason is not None:
+            self._warn(f"solver artifact {key[:12]} ignored: {reason}; "
+                       f"cold-starting")
         if artifact is None:
             return
         self._warm_artifact[pkey] = artifact

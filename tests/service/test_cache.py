@@ -13,7 +13,8 @@ import repro.service.cache as cache_module
 from repro.cli import main
 from repro.service import (
     JobResult, JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
-    run_swarm_batch, swarm_cache_key, trace_hit_rate,
+    get_result, run_swarm_batch, stream_jobs, swarm_cache_key,
+    trace_hit_rate,
 )
 from repro.service.daemon import JobStore, WorkerDaemon
 from repro.sym import LaunchConfig
@@ -138,7 +139,7 @@ class TestFormMemo:
 class TestCacheStore:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        key = cache.key_for(_spec())
+        key = cache_key(_spec())
         assert cache.get(key) is None
         payload = {"status": "done", "verdict": {"races": []}}
         cache.put(key, payload)
@@ -148,12 +149,94 @@ class TestCacheStore:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        key = cache.key_for(_spec())
+        key = cache_key(_spec())
         cache.put(key, {"ok": True})
         path = cache._path(key)
         with open(path, "w") as fh:
             fh.write("{not json")
         assert cache.get(key) is None
+
+    def test_lookup_tells_a_damaged_entry_from_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = cache_key(_spec())
+        assert cache.lookup(key) == (None, None)
+        cache.put(key, {"ok": True})
+        assert cache.lookup(key) == ({"ok": True}, None)
+        assert cache.lookup(key, lambda p: "wrong shape") == \
+            (None, "wrong shape")
+        with open(cache._path(key), "w") as fh:
+            fh.write("[1, 2]")
+        assert cache.lookup(key) == (None, "not a JSON object")
+        with open(cache._path(key), "w") as fh:
+            fh.write("{torn")
+        payload, reason = cache.lookup(key)
+        assert payload is None and reason.startswith("unreadable")
+        assert cache.hits == 1 and cache.misses == 4
+
+    def test_failed_write_returns_false_and_removes_its_temp(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = cache_key(_spec())
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        assert cache.put(key, {"ok": True}) is False
+        monkeypatch.undo()
+        assert os.listdir(os.path.dirname(cache._path(key))) == []
+        assert cache.get(key) is None
+
+
+def _block_every_fanout(cache_dir):
+    """Make every fan-out slot of *cache_dir* a regular file, so every
+    write to the store fails with an ``OSError`` and every read misses."""
+    os.makedirs(cache_dir, exist_ok=True)
+    for i in range(256):
+        open(os.path.join(cache_dir, f"{i:02x}"), "w").close()
+
+
+def _signature(verdict):
+    """Races and OOBs without their witnesses, and ``timed_out``."""
+    def strip(items):
+        return sorted(json.dumps({k: v for k, v in item.items()
+                                  if not k.startswith("witness")},
+                                 sort_keys=True) for item in items)
+    return (strip(verdict["races"]), strip(verdict["oobs"]),
+            verdict.get("resolvable"), verdict["timed_out"])
+
+
+class TestUnwritableCache:
+    """A store that cannot write costs only the replay: the job still
+    ends ``done`` with the verdict it has without a cache."""
+
+    def test_failed_verdict_write_keeps_the_verdict(self, tmp_path):
+        spec = _spec(RACY, config=LaunchConfig(check_oob=False))
+        reference = Scheduler().run([spec]).jobs[0]
+        cache_dir = str(tmp_path / "cache")
+        _block_every_fanout(cache_dir)
+        job = Scheduler(cache=ResultCache(cache_dir)).run([spec]).jobs[0]
+        assert job.status == JobStatus.DONE, job.error
+        assert _signature(job.verdict) == _signature(reference.verdict)
+
+    @pytest.mark.parametrize("unusable", ["blocked-fanout", "file"])
+    def test_failed_stream_launch_write_keeps_the_verdict(
+            self, tmp_path, unusable):
+        spec = next(s for s in stream_jobs()
+                    if s.meta["program"] == "pipeline_missing_sync")
+        reference = Scheduler().run([spec]).jobs[0]
+        cache_dir = str(tmp_path / "cache")
+        if unusable == "file":
+            open(cache_dir, "w").close()
+        else:
+            _block_every_fanout(cache_dir)
+        spec.config.solver_cache_dir = cache_dir
+        job = Scheduler().run([spec]).jobs[0]
+        assert job.status == JobStatus.DONE, job.error
+        assert job.verdict["stream"]["launches"] and \
+            not any(launch["cached"]
+                    for launch in job.verdict["stream"]["launches"])
+        assert _signature(job.verdict) == _signature(reference.verdict)
 
 
 class TestSchedulerIntegration:
@@ -217,7 +300,7 @@ class TestSchedulerIntegration:
         cache = ResultCache(str(tmp_path / "cache"))
         spec = _spec(RACY, job_id="cut", config=LaunchConfig(
             check_oob=False, time_budget_seconds=1e-6))
-        key = cache.key_for(spec)
+        key = cache_key(spec)
 
         for _ in range(2):
             job = Scheduler(cache=cache, isolate=False).run([spec]).jobs[0]
@@ -337,7 +420,7 @@ class TestStoredEntries:
         cache.put(key, dict(entry, portfolio={
             "winner": "default", "variants": ["default"],
             "elapsed_seconds": 0.1}))
-        served = cache.get_result(key, "again")
+        served = get_result(cache, key, "again")
         assert served is not None and served.verdict == cold.verdict
         assert "portfolio" not in served.to_dict()
 
@@ -442,6 +525,29 @@ class TestCacheCli:
                      "--max-age", "60", "--json"]) == 0
         outcome = json.loads(capsys.readouterr().out)
         assert outcome["removed"] == 2 and outcome["kept"] == 0
+
+    def test_leftover_temp_file_is_counted_and_pruned(
+            self, tmp_path, capsys):
+        # a writer killed between write and rename leaves its temp file
+        cache_dir = str(tmp_path / "cache")
+        cache = ResultCache(cache_dir)
+        key = _fill(cache, 1)[0]
+        tmp = cache._path("cd" + key[2:]) + ".tmp.123.456"
+        os.makedirs(os.path.dirname(tmp))
+        with open(tmp, "w") as fh:
+            fh.write('{"torn": ')
+        then = time.time() - 3600.0
+        os.utime(tmp, (then, then))
+
+        assert main(["cache", "stats", "--cache-dir", cache_dir,
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 2
+        assert main(["cache", "prune", "--cache-dir", cache_dir,
+                     "--max-age", "60", "--json"]) == 0
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["removed"] == 1 and outcome["kept"] == 1
+        assert not os.path.exists(tmp)
+        assert cache.get(key) is not None
 
     def test_prune_without_bounds_exits_2(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

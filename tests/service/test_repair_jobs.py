@@ -3,7 +3,7 @@ scheduler, cache fingerprinting, and telemetry events."""
 import json
 
 from repro.service import JobSpec, JobStatus
-from repro.service.cache import ResultCache
+from repro.service.cache import cache_key
 from repro.service.runner import execute_job
 from repro.service.scheduler import run_batch
 from repro.sym import LaunchConfig
@@ -57,12 +57,11 @@ class TestRunner:
 
 
 class TestFingerprint:
-    def test_repair_flag_changes_cache_key(self, tmp_path):
+    def test_repair_flag_changes_cache_key(self):
         plain = _spec()
         repairing = _spec(repair=True)
         assert plain.config_fingerprint() != repairing.config_fingerprint()
-        cache = ResultCache(str(tmp_path / "cache"))
-        assert cache.key_for(plain) != cache.key_for(repairing)
+        assert cache_key(plain) != cache_key(repairing)
 
     def test_spec_roundtrips_repair_flag(self):
         spec = _spec(repair=True)

@@ -1,21 +1,21 @@
-"""Unit tests for the cross-run solver artifact store.
+"""Unit tests for cross-run solver artifacts in the one store.
 
-Safety first: every way an artifact can be unusable — missing,
-corrupted, truncated, version-skewed, structurally malformed — must
-cold-start (load returns ``(None, warning)``), never raise and never
-hand back a partial artifact.
+Safety first: every way an artifact can be unusable — corrupted,
+truncated, structurally malformed — must cold-start (the store's read
+path returns ``(None, reason)``), never raise and never hand back a
+partial artifact; one written by other analysis code is a plain miss.
 """
 import json
 import os
 
 import pytest
 
-from repro import code_digest
+import repro
 from repro.smt import mk_add, mk_bv, mk_bv_var, mk_mul, mk_ult
 from repro.smt.persist import (
-    FORMAT_VERSION, SolverArtifactStore, canonical_term,
-    preamble_fingerprint,
+    artifact_problem, canonical_term, make_artifact, preamble_fingerprint,
 )
+from repro.store import ResultCache, content_key
 
 
 def _terms():
@@ -62,73 +62,74 @@ class TestCanonicalisation:
             preamble_fingerprint(terms[:-1])
 
 
+def _key(fingerprint):
+    return content_key("solver_artifact", preamble=fingerprint)
+
+
+def _save(store, fingerprint, memo=(), pairs=None):
+    key = _key(fingerprint)
+    assert store.put(key, make_artifact(_state(), memo, pairs))
+    return key
+
+
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path))
-        fp = preamble_fingerprint(_terms())
+        store = ResultCache(str(tmp_path))
         memo = [("c" * 64, "sat", {"x": 3}), ("d" * 64, "unsat", None)]
         pairs = {"e" * 64: None, "f" * 64: [{"tid.x!1": 0}, False]}
-        store.save(fp, _state(), memo, pairs)
-        artifact, warning = store.load(fp)
-        assert warning is None
+        key = _save(store, preamble_fingerprint(_terms()), memo, pairs)
+        artifact, reason = store.lookup(key, artifact_problem)
+        assert reason is None
         assert artifact["snapshot"] == _state()["snapshot"]
         assert artifact["learnts"] == _state()["learnts"]
         assert artifact["memo"] == [list(m) for m in memo]
         assert artifact["pairs"] == pairs
-        assert artifact["format"] == FORMAT_VERSION
-        assert artifact["tool"] == code_digest()
+        assert set(artifact) == {"snapshot", "learnts", "memo", "pairs"}
 
     def test_plain_miss(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path))
-        assert store.load("0" * 64) == (None, None)
+        store = ResultCache(str(tmp_path))
+        assert store.lookup(_key("0" * 64), artifact_problem) == \
+            (None, None)
 
     def test_json_is_reread_equal(self, tmp_path):
         # the artifact survives a JSON round trip byte-for-byte at the
         # structural level (no tuples, no non-string keys sneaking in)
-        store = SolverArtifactStore(str(tmp_path))
-        fp = "ab" + "0" * 62
-        path = store.save(fp, _state(), [("c" * 64, "unsat", None)], {})
-        assert json.load(open(path)) == store.load(fp)[0]
+        store = ResultCache(str(tmp_path))
+        key = _save(store, "ab" + "0" * 62, [("c" * 64, "unsat", None)])
+        with open(store._path(key)) as fh:
+            assert json.load(fh) == store.get(key, artifact_problem)
 
 
 class TestUnusableArtifacts:
     def _saved(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path))
-        fp = "ab" + "1" * 62
-        path = store.save(fp, _state(), [("c" * 64, "sat", {"x": 1})],
-                          {"d" * 64: None})
-        return store, fp, path
+        store = ResultCache(str(tmp_path))
+        key = _save(store, "ab" + "1" * 62, [("c" * 64, "sat", {"x": 1})],
+                    {"d" * 64: None})
+        return store, key, store._path(key)
 
     def test_corrupted_json(self, tmp_path):
-        store, fp, path = self._saved(tmp_path)
+        store, key, path = self._saved(tmp_path)
         with open(path, "w") as fh:
             fh.write("{not json at all")
-        artifact, warning = store.load(fp)
-        assert artifact is None and "cold-starting" in warning
+        artifact, reason = store.lookup(key, artifact_problem)
+        assert artifact is None and "unreadable" in reason
 
     def test_truncated_file(self, tmp_path):
-        store, fp, path = self._saved(tmp_path)
+        store, key, path = self._saved(tmp_path)
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob[:len(blob) // 2])
-        artifact, warning = store.load(fp)
-        assert artifact is None and "cold-starting" in warning
+        artifact, reason = store.lookup(key, artifact_problem)
+        assert artifact is None and "unreadable" in reason
 
-    def test_format_version_skew(self, tmp_path):
-        store, fp, path = self._saved(tmp_path)
-        blob = json.load(open(path))
-        blob["format"] = FORMAT_VERSION + 1
-        json.dump(blob, open(path, "w"))
-        artifact, warning = store.load(fp)
-        assert artifact is None and "format version skew" in warning
-
-    def test_tool_version_skew(self, tmp_path):
-        store, fp, path = self._saved(tmp_path)
-        blob = json.load(open(path))
-        blob["tool"] = "0.0.0-other"
-        json.dump(blob, open(path, "w"))
-        artifact, warning = store.load(fp)
-        assert artifact is None and "tool version skew" in warning
+    def test_tool_version_skew(self, tmp_path, monkeypatch):
+        # the key hashes the checker code: an artifact written by other
+        # analysis code is never found, so it is a plain miss
+        store, key, _path = self._saved(tmp_path)
+        monkeypatch.setattr(repro, "_code_digest", "0" * 64)
+        other = _key("ab" + "1" * 62)
+        assert other != key
+        assert store.lookup(other, artifact_problem) == (None, None)
 
     @pytest.mark.parametrize("mutate, reason", [
         (lambda a: a.pop("snapshot"), "missing snapshot"),
@@ -142,35 +143,35 @@ class TestUnusableArtifacts:
          "malformed pair verdict"),
     ])
     def test_structural_damage(self, tmp_path, mutate, reason):
-        store, fp, path = self._saved(tmp_path)
+        store, key, path = self._saved(tmp_path)
         blob = json.load(open(path))
         mutate(blob)
         json.dump(blob, open(path, "w"))
-        artifact, warning = store.load(fp)
-        assert artifact is None and reason in warning
+        artifact, got = store.lookup(key, artifact_problem)
+        assert artifact is None and got == reason
 
 
 class TestMaintenance:
+    """Artifacts are entries of the one store: its single walk counts
+    and evicts them beside every other kind of entry."""
+
     def test_disk_stats_and_prune(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path))
+        store = ResultCache(str(tmp_path))
         for i in range(4):
-            store.save(f"{i:02d}" + "e" * 62, _state())
+            _save(store, f"{i:02d}" + "e" * 62)
+        store.put(content_key("job", form="f"), {"status": "done"})
         stats = store.disk_stats()
-        assert stats["entries"] == 4 and stats["bytes"] > 0
+        assert stats["entries"] == 5 and stats["bytes"] > 0
         outcome = store.prune(max_bytes=stats["bytes"] // 2)
         assert outcome["removed"] >= 1
         assert store.disk_stats()["bytes"] <= stats["bytes"] // 2
 
     def test_prune_by_age(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path))
-        path = store.save("aa" + "e" * 62, _state())
-        old = os.path.getmtime(path) - 3600
-        os.utime(path, (old, old))
-        store.save("bb" + "e" * 62, _state())
+        store = ResultCache(str(tmp_path))
+        old = store._path(_save(store, "aa" + "e" * 62))
+        then = os.path.getmtime(old) - 3600
+        os.utime(old, (then, then))
+        _save(store, "bb" + "e" * 62)
         outcome = store.prune(max_age_seconds=60)
         assert outcome["removed"] == 1 and outcome["kept"] == 1
-
-    def test_empty_store(self, tmp_path):
-        store = SolverArtifactStore(str(tmp_path / "nothing"))
-        assert store.disk_stats()["entries"] == 0
-        assert store.prune(max_age_seconds=0)["removed"] == 0
+        assert not os.path.exists(old)

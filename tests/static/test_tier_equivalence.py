@@ -215,7 +215,7 @@ def test_solver_store_keeps_verdicts(tmp_path, name):
     cache = str(tmp_path / "cache")
     reference = _store_run(name, "", "on")
     cold = _store_run(name, cache, "on")
-    artifacts = glob.glob(os.path.join(cache, "solver", "*", "*.json"))
+    artifacts = glob.glob(os.path.join(cache, "*", "*.json"))
     warm = _store_run(name, cache, "on")
     warm_mono = _store_run(name, cache, "off")
     for run in (cold, warm, warm_mono):

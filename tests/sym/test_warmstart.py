@@ -1,5 +1,5 @@
 """Kernel-level warm-start tests: cross-process replay, damaged
-artifacts, and the shared-session stats audit.
+artifacts, an unusable store, and the shared-session stats audit.
 
 The cross-process tests use subprocesses deliberately: fresh-variable
 counters are process-global, so two runs *in one process* produce
@@ -17,8 +17,8 @@ import pytest
 
 import repro
 from repro.core import SESA, LaunchConfig, check_source
+from repro.kernels import ALL_KERNELS
 from repro.smt import QueryMemo
-from repro.smt.persist import FORMAT_VERSION
 from repro.sym.executor import Executor
 from repro.sym.races import RaceChecker
 
@@ -71,7 +71,7 @@ def _child_run(cache_dir):
 
 
 def _artifacts(cache_dir):
-    return glob.glob(os.path.join(cache_dir, "solver", "*", "*.json"))
+    return glob.glob(os.path.join(cache_dir, "*", "*.json"))
 
 
 class TestCrossProcessWarmStart:
@@ -118,20 +118,46 @@ class TestDamagedArtifacts:
                    for w in again.execution.warnings)
         assert again.check_stats.warm_starts == 0
 
-    def test_version_skew_cold_starts_with_warning(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        cold, paths = self._cold(cache)
-        for path in paths:
-            blob = json.load(open(path))
-            blob["format"] = FORMAT_VERSION + 1
-            json.dump(blob, open(path, "w"))
-        again = check_source(RACY, LaunchConfig(
-            block_dim=(64, 1, 1), solver_cache_dir=cache,
-            static_tier=False))
-        assert self._signature(again) == self._signature(cold)
-        assert any("version skew" in w
-                   for w in again.execution.warnings)
-        assert again.check_stats.warm_starts == 0
+
+class TestUnusableStore:
+    """A cache dir the store cannot open or write to costs only the warm
+    start: the check still returns the no-cache verdict, with a warning
+    on the execution record."""
+
+    @staticmethod
+    def _check(cache_dir):
+        kernel = ALL_KERNELS["histo_prescan"]
+        config = kernel.launch_config()
+        config.solver_cache_dir = cache_dir
+        config.static_tier = False
+        report = SESA.from_source(kernel.source,
+                                  kernel.kernel_name).check(config)
+        signature = (sorted((r.kind, r.obj_name, str(r.access1.loc),
+                             str(r.access2.loc), r.benign, r.unresolvable)
+                            for r in report.races),
+                     sorted((o.obj_name, str(o.access.loc))
+                            for o in report.oobs),
+                     report.timed_out)
+        return signature, report.execution.warnings
+
+    def test_cache_dir_that_is_a_file(self, tmp_path):
+        reference, _ = self._check(None)
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        signature, warnings = self._check(str(path))
+        assert signature == reference
+        assert any("unusable" in w and "cold-starting" in w
+                   for w in warnings)
+
+    def test_failed_artifact_write(self, tmp_path):
+        reference, _ = self._check(None)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for i in range(256):    # every fan-out slot is a regular file
+            (cache / f"{i:02x}").write_text("")
+        signature, warnings = self._check(str(cache))
+        assert signature == reference
+        assert any("not saved" in w for w in warnings)
 
 
 class TestSharedSessionStatsAudit:
