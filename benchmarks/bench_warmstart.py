@@ -46,7 +46,7 @@ import json, sys
 from repro.core import SESA
 from repro.service.corpus import SUITES, spec_from_kernel
 
-agg = {"solve_seconds": 0.0, "by_session": 0, "by_sat": 0,
+agg = {"solve_seconds": 0.0, "by_session": 0,
        "warm_memo_hits": 0, "warm_pair_hits": 0, "warm_starts": 0,
        "queries": 0, "pairs_considered": 0}
 verdicts = {}
@@ -70,7 +70,6 @@ for suite in ("paper", "reductions"):
         cs = report.check_stats
         agg["solve_seconds"] += cs.solve_seconds
         agg["by_session"] += cs.solver.by_session
-        agg["by_sat"] += cs.solver.by_sat
         agg["warm_memo_hits"] += cs.warm_memo_hits
         agg["warm_pair_hits"] += cs.warm_pair_hits
         agg["warm_starts"] += cs.warm_starts
@@ -109,7 +108,7 @@ def test_warmstart(benchmark):
     speedup = ca["solve_seconds"] / max(wa["solve_seconds"], 1e-9)
     replays = wa["warm_memo_hits"] + wa["warm_pair_hits"]
 
-    cols = ["solve_seconds", "queries", "by_session", "by_sat",
+    cols = ["solve_seconds", "queries", "by_session",
             "warm_memo_hits", "warm_pair_hits", "pairs_considered"]
     print_table(
         f"Warm start: re-check of an unchanged corpus "

@@ -488,7 +488,7 @@ def _phase_breakdown(cs) -> dict:
             "by_interval": cs.solver.by_interval,
             "by_range": cs.solver.by_range,
             "by_session": cs.solver.by_session,
-            "by_sat": cs.solver.by_sat,
+            "sat_instances": cs.solver.sat_instances,
             "sat_conflicts": cs.solver.sat_conflicts,
             "warm_starts": cs.warm_starts,
             "warm_memo_hits": cs.warm_memo_hits,
@@ -528,8 +528,8 @@ def _print_phase_breakdown(cs) -> None:
           f"simplifier {disp['by_simplifier']}, "
           f"interval {disp['by_interval']}, "
           f"range {disp['by_range']}, "
-          f"session {disp['by_session']}, sat {disp['by_sat']}; "
-          f"{disp['sat_conflicts']} conflicts)")
+          f"sat {disp['by_session']} on {disp['sat_instances']} "
+          f"instances; {disp['sat_conflicts']} conflicts)")
     if disp["warm_starts"] or disp["warm_memo_hits"] \
             or disp["warm_pair_hits"]:
         print(f"warm start: {disp['warm_starts']} sessions adopted, "
@@ -748,10 +748,19 @@ def cmd_batch(args) -> int:
         return 2
     cache_dir = None if args.no_cache else args.cache_dir
     trace_path = args.trace
+    dirs = [cache_dir] if cache_dir else []
     if trace_path is None:
-        trace_dir = cache_dir or ".repro-cache"
-        os.makedirs(trace_dir, exist_ok=True)
-        trace_path = os.path.join(trace_dir, "trace.jsonl")
+        dirs.append(cache_dir or ".repro-cache")
+        trace_path = os.path.join(dirs[-1], "trace.jsonl")
+    # an unusable cache or trace directory (say, a regular file) is a
+    # usage error, not a traceback
+    try:
+        for path in dirs:
+            os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"repro: cannot use {exc.filename!r} as a directory: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     if args.swarm is not None:
         from .service import ResultCache, Telemetry, run_swarm_batch
         cache = ResultCache(cache_dir) if cache_dir else None

@@ -150,8 +150,8 @@ class AnalysisReport:
             lines.append(
                 f"  solver: {cs.queries} queries (affine {cs.by_affine}, "
                 f"memo {cs.by_memo}, sessions {cs.sessions_created}, "
-                f"sat {cs.solver.by_sat} fresh + "
-                f"{cs.solver.by_session} incremental)")
+                f"sat {cs.solver.by_session} on "
+                f"{cs.solver.sat_instances} instances)")
             pruned = (cs.dedup_skipped + cs.summarized_accesses +
                       cs.bucketed_out + cs.pair_memo_hits + cs.oob_pruned)
             if pruned:
@@ -176,6 +176,8 @@ class AnalysisReport:
         if self.execution:
             for err in self.execution.errors:
                 lines.append(f"  ERROR: {err}")
+            for warning in self.execution.warnings:
+                lines.append(f"  WARNING: {warning}")
         if self.repair is not None:
             lines.append(self.repair.summary())
         return "\n".join(lines)

@@ -145,10 +145,10 @@ class SESA:
         config = config or LaunchConfig()
         result = self.execute(config)
         vectors: List[Dict[str, int]] = []
+        solver = Solver([*result.env.bounds(), *config.assumptions],
+                        conflict_budget=50_000)
         for cond in result.final_flow_conds:
-            solver = Solver(conflict_budget=50_000)
-            solver.add(*result.env.bounds(), *config.assumptions, cond)
-            if solver.check() == CheckResult.SAT:
+            if solver.check([cond]) == CheckResult.SAT:
                 model = solver.model()
                 vectors.append({k: v for k, v in
                                 sorted(model.values.items())})

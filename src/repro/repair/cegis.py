@@ -2,10 +2,11 @@
 
 Each iteration takes the current race reports as counterexamples,
 generates legal barrier placements, applies one to the IR, and re-runs
-the executor + race checker.  Re-checks share one :class:`SolverSession`
-pool and :class:`QueryMemo` across the whole loop — the preambles
-(thread bounds, ``t1 != t2``) are interned terms, so iteration *N*'s
-queries land on the CDCL instances iteration 1 warmed up.
+the executor + race checker.  Re-checks share one pool of per-preamble
+:class:`~repro.smt.Solver` instances and one :class:`QueryMemo` across
+the whole loop — the preambles (thread bounds, ``t1 != t2``) are
+interned terms, so iteration *N*'s queries land on the CDCL instances
+iteration 1 warmed up.
 
 After the loop converges, delta-debugging removes each inserted barrier
 in turn and re-verifies, so no removable barrier survives (the fix is

@@ -22,8 +22,9 @@ from .affine import (
     affine_decompose, equality_forces_equal_components, injective_on_box,
     stride_separated,
 )
-from .solver import CheckResult, Model, Solver, SolverStats, get_model, is_sat
-from .session import QueryMemo, SolverSession, TemplateCache
+from .bitblast import TemplateCache
+from .solver import CheckResult, Model, QueryMemo, Solver, SolverStats
+from .session import SolverSession
 from .persist import canonical_term, preamble_fingerprint
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
     "Interval", "IntervalAnalysis", "byte_footprint", "derive_bounds",
     "affine_decompose", "equality_forces_equal_components",
     "injective_on_box", "stride_separated",
-    "CheckResult", "Model", "Solver", "SolverStats", "get_model", "is_sat",
-    "QueryMemo", "SolverSession", "TemplateCache",
+    "CheckResult", "Model", "QueryMemo", "Solver", "SolverStats",
+    "SolverSession", "TemplateCache",
     "canonical_term", "preamble_fingerprint",
 ]

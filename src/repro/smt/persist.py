@@ -1,7 +1,8 @@
-"""Cross-run warm-start artifacts for incremental solver sessions.
+"""Cross-run warm-start artifacts for the race checker's solvers.
 
-A :class:`~repro.smt.session.SolverSession` owns artifacts that are
-expensive to rebuild and pure functions of the preamble:
+A race-check :class:`~repro.smt.solver.Solver` and its incremental SAT
+back end (:class:`~repro.smt.session.SolverSession`) own artifacts that
+are expensive to rebuild and pure functions of the preamble:
 
 * the blasted preamble CNF snapshot (clauses + variable maps),
 * the retained preamble-only learned clauses,

@@ -21,9 +21,9 @@ calls (:meth:`add_clause` for one, :meth:`add_clauses` for a batch that
 backtracks to the root only once), queries can be posed under
 assumption literals, and learned clauses are retained across queries —
 they are derived by resolution from real clauses only, so they stay
-valid whatever the assumptions. This is what lets the
-:class:`~repro.smt.session.SolverSession` blast a race-check preamble
-once and answer thousands of per-pair queries against the same
+valid whatever the assumptions. This is what lets a
+:class:`~repro.smt.session.SolverSession` blast a preamble once and
+answer thousands of per-pair or per-branch queries against the same
 instance.
 
 The solver accepts a conflict budget so callers can bound worst-case
@@ -31,10 +31,11 @@ work and receive ``"unknown"`` instead of hanging. The budget is
 per-``solve``-call (a delta, not a lifetime total), so a long-lived
 incremental instance gives every query the same allowance.
 
-It is the only SAT core: the one-shot :class:`~repro.smt.solver.Solver`
-and every :class:`~repro.smt.session.SolverSession` construct it
-directly. Its differential oracle is an exhaustive truth-table check in
-the test suite, which shares no code with any CDCL core.
+It is the only SAT core, and the checker reaches it by one path: the
+SAT layer of a :class:`~repro.smt.solver.Solver`, its
+:class:`~repro.smt.session.SolverSession`. Its differential oracle is
+an exhaustive truth-table check in the test suite, which shares no code
+with any CDCL core.
 """
 from __future__ import annotations
 

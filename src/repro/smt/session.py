@@ -1,16 +1,17 @@
-"""Incremental solver sessions: blast-once preambles, assumption SAT.
+"""The incremental SAT back end: blast-once preambles, assumption SAT.
 
-The race checker's queries share a large fixed prefix — thread bounds,
-``t1 != t2``, launch assumptions — and differ only in a small per-pair
-goal (guards + address overlap). A :class:`SolverSession` is the
-layered :class:`~repro.smt.solver.Solver` pipeline rebuilt around that
-shape:
+Every query the :class:`~repro.smt.solver.Solver` front end cannot
+decide on the word level ends here. Queries against one solver share a
+fixed preamble — thread bounds, ``t1 != t2``, launch assumptions — and
+differ only in a small goal (a branch condition, or a pair's guards and
+address overlap). A :class:`SolverSession` is the SAT layer built
+around that shape:
 
-* the preamble is simplified and bit-blasted **once** into a live
+* the preamble is bit-blasted **once** into a live
   :class:`~repro.smt.sat.SatSolver`;
-* each :meth:`check` blasts only the goal conjuncts (the blaster skips
-  subterms it has lowered before, and the shared
-  :class:`~repro.smt.bitblast.TemplateCache` instantiates repeated
+* each :meth:`SolverSession.check` blasts only the goal conjuncts (the
+  blaster skips subterms it has lowered before, and a
+  :class:`~repro.smt.bitblast.TemplateCache` can instantiate repeated
   offset skeletons) and solves under their literals as *assumptions*.
   Each goal literal only *implies* its conjunct (the positive-polarity
   lowering of :meth:`~repro.smt.bitblast.BitBlaster.blast_assume`),
@@ -21,135 +22,67 @@ shape:
 Unbounded growth is the classic failure mode of a pure-Python CDCL
 instance that lives for thousands of queries (clause DB, stale heap
 entries, full-assignment models), so a session *rotates*: after
-``max_live_queries`` checks or ``max_live_clauses`` clauses it drops
-the SAT instance. Rotation is cheap: the preamble CNF is *snapshotted*
-after the first blast, so the next query restores the snapshot (no
-re-lowering) and re-imports the short preamble-only learned clauses
-harvested at retirement in ONE batched ``add_clauses`` call — they are
-resolvents of preamble clauses and total Tseitin definitions, so they
-stay valid for the restored instance. The same snapshot + learnts
+``max_live_queries`` checks or :data:`_MAX_LIVE_CLAUSES` clauses it
+drops the SAT instance. Rotation is cheap: the preamble CNF is
+*snapshotted* after the first blast, so the next query restores the
+snapshot (no re-lowering) and re-imports the short preamble-only
+learned clauses harvested at retirement in ONE batched ``add_clauses``
+call — they are resolvents of preamble clauses and total Tseitin
+definitions, so they stay valid for the restored instance. The same snapshot + learnts
 bundle is what :mod:`repro.smt.persist` serialises for cross-run warm
 starts (:meth:`SolverSession.export_state` /
 :meth:`SolverSession.adopt_state`).
-
-:class:`QueryMemo` is the cross-query cache above the session: interned
-canonical goal term -> verdict (+ model values), so structurally
-identical pairs — rampant in unrolled kernels — never touch the SAT
-core at all. UNKNOWN is never memoized.
-
-Every race and stream-pair query takes this one path: simplifier ->
-memo -> session -> :class:`~repro.smt.sat.SatSolver`. Inside the
-session a query passes the simplifier, the interval layer and the
-range-chain layer (:mod:`repro.smt.ranges`) before it reaches the SAT
-instance.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .bitblast import BitBlaster, TemplateCache
 from .cnf import CNF
-from .interval import Interval, IntervalAnalysis, derive_bounds
-from .ranges import decide_chain, parse_chain
 from .sat import SatResult, SatSolver
-from .simplify import simplify
-from .solver import CheckResult, Model, SolverStats
 from . import terms as T
-from .subst import EvaluationError, evaluate
 from .terms import Term
 
+if TYPE_CHECKING:
+    from .solver import SolverStats
 
-class QueryMemo:
-    """Canonical-query result cache (term identity -> verdict + model).
-
-    Keys are ``(context_key, id(canonical_goal))``: interning makes
-    ``id`` a stable global identity for a term, and the context key
-    distinguishes preambles. SAT entries carry the witness values so a
-    hit reproduces the one-shot answer; UNKNOWN is never stored (a
-    bigger budget might decide it later).
-    """
-
-    def __init__(self) -> None:
-        self._table: Dict[tuple, Tuple[str, Optional[Dict[str, int]]]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional[Tuple[str, Optional[Dict[str, int]]]]:
-        entry = self._table.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(self, key: tuple, result: str,
-            values: Optional[Dict[str, int]] = None) -> None:
-        if result == CheckResult.UNKNOWN:
-            return
-        self._table[key] = (result, values)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-#: process-wide template cache: keyed purely on term structure, so it is
-#: sound to share across sessions, preambles, and checkers (see
-#: :class:`~repro.smt.bitblast.TemplateCache`); capped in size.
-_SHARED_TEMPLATES = TemplateCache()
 
 #: retention policy for learned clauses carried across rotations and
 #: persisted for warm starts: short clauses only (long ones rarely pay
 #: for their propagation cost), bounded total
 _MAX_RETAINED_LEN = 24
 _MAX_RETAINED = 4096
+#: a live instance with this many clauses (learned ones included)
+#: rotates, whatever its query count
+_MAX_LIVE_CLAUSES = 400_000
 
 
 class SolverSession:
-    """A persistent solving context for one fixed preamble.
+    """The SAT layer of one :class:`~repro.smt.solver.Solver`: a live
+    incremental instance holding the blasted preamble, answered under
+    assumption literals.
 
-    Mirrors the :class:`~repro.smt.solver.Solver` layering (simplify ->
-    trivial -> interval -> range chain -> SAT) per query, but the SAT
-    layer is a live incremental instance holding the blasted preamble,
-    answered under assumption literals.
+    *preamble* is the front end's simplified preamble; *stats* is the
+    front end's :class:`~repro.smt.solver.SolverStats`, which the
+    session credits with its SAT work. The front end supplies every
+    option (its constructor documents them).
     """
 
-    def __init__(self, preamble: Sequence[Term], *,
-                 conflict_budget: Optional[int] = 200_000,
-                 deadline: Optional[float] = None,
-                 use_simplifier: bool = True,
-                 use_interval: bool = True,
-                 validate_models: bool = True,
-                 stats: Optional[SolverStats] = None,
-                 max_live_queries: int = 256,
-                 max_live_clauses: int = 400_000,
-                 templates: Optional[TemplateCache] = _SHARED_TEMPLATES
-                 ) -> None:
+    def __init__(self, preamble: Sequence[Term], stats: "SolverStats", *,
+                 conflict_budget: Optional[int],
+                 deadline: Optional[float],
+                 max_live_queries: int,
+                 templates: Optional[TemplateCache]) -> None:
+        self.preamble: List[Term] = list(preamble)
+        self.stats = stats
         self.conflict_budget = conflict_budget
         self.deadline = deadline
-        self.use_simplifier = use_simplifier
-        self.use_interval = use_interval
-        self.validate_models = validate_models
-        self.stats = stats if stats is not None else SolverStats()
         self.max_live_queries = max_live_queries
-        self.max_live_clauses = max_live_clauses
-
-        terms = [simplify(t) for t in preamble] if use_simplifier \
-            else list(preamble)
-        #: the preamble alone is contradictory: every query is UNSAT
-        self._failed = any(t.is_false() for t in terms)
-        self.preamble: List[Term] = [t for t in terms if not t.is_true()]
-        self._preamble_bounds: Dict[str, Interval] = \
-            derive_bounds(self.preamble) if use_interval else {}
-        #: the preamble parsed for the range-chain layer; None when some
-        #: preamble conjunct does not fit, which rules the layer out
-        self._preamble_chain = parse_chain(self.preamble) \
-            if use_interval else None
 
         self._cnf: Optional[CNF] = None
         self._blaster: Optional[BitBlaster] = None
         self._sat = None
         self._live_queries = 0
-        self._model: Optional[Model] = None
         self._templates = templates
 
         #: preamble CNF snapshot taken after the first blast (or adopted
@@ -163,57 +96,75 @@ class SolverSession:
 
     # ------------------------------------------------------------------
 
-    def check(self, goal: Sequence[Term]) -> str:
-        """Satisfiability of ``preamble AND goal`` (layered)."""
-        self.stats.queries += 1
-        self._model = None
-        if self._failed:
-            self.stats.by_simplifier += 1
-            return CheckResult.UNSAT
+    def check(self, goal: Sequence[Term]
+              ) -> Tuple[str, Optional[Dict[str, int]]]:
+        """Solve ``preamble AND goal`` on the live instance.
 
-        if self.use_simplifier:
-            goal = [simplify(t) for t in goal]
-        else:
-            goal = list(goal)
-        if any(t.is_false() for t in goal):
-            self.stats.by_simplifier += 1
-            return CheckResult.UNSAT
-        goal = [t for t in goal if not t.is_true()]
-        if not goal and not self.preamble:
-            self.stats.by_simplifier += 1
-            self._model = Model({})
-            return CheckResult.SAT
+        Returns the :class:`~repro.smt.sat.SatResult` tag and, when SAT,
+        the values of the query's variables (unvalidated: the front end
+        validates them).
+        """
+        self._ensure_sat()
+        blaster, sat = self._blaster, self._sat
+        assert blaster is not None and sat is not None
+        sat.deadline = self.deadline
+        sat.conflict_budget = self.conflict_budget
 
-        if self.use_interval:
-            bounds = dict(self._preamble_bounds)
-            for name, iv in derive_bounds(goal).items():
-                cur = bounds.get(name)
-                bounds[name] = iv if cur is None else (cur.meet(iv) or cur)
-            analysis = IntervalAnalysis(bounds)
-            if any(analysis.must_be_false(t)
-                   for t in self.preamble + goal):
-                self.stats.by_interval += 1
-                return CheckResult.UNSAT
+        # Blast top-level conjuncts separately: the big shared ones
+        # (flow conditions) stay on the incremental sharing path (the
+        # blaster's node map answers them for free on later queries),
+        # while the small per-pair ones (offset equations) are exactly
+        # what the template cache instantiates.
+        conjuncts: List[Term] = []
+        seen_ids = set()
+        stack = list(reversed(goal))
+        while stack:
+            t = stack.pop()
+            if t.op == T.Op.BAND:
+                stack.extend(reversed(t.args))
+                continue
+            if id(t) not in seen_ids:
+                seen_ids.add(id(t))
+                conjuncts.append(t)
+        th0 = blaster.template_hits
+        assumptions = [blaster.blast_assume(t) for t in conjuncts]
+        self.stats.template_hits += blaster.template_hits - th0
+        sat.ensure_vars(self._cnf.num_vars)
 
-            if self._preamble_chain is not None:
-                chain = parse_chain(goal, self._preamble_chain)
-                verdict = None if chain is None else \
-                    decide_chain(chain, analysis)
-                if verdict is not None:
-                    self.stats.by_range += 1
-                    satisfiable, values = verdict
-                    return self._accept(goal, values) if satisfiable \
-                        else CheckResult.UNSAT
+        c0, d0 = sat.conflicts, sat.decisions
+        p0, l0 = sat.propagations, len(sat.learnts)
+        result = sat.solve(assumptions)
+        self.stats.by_session += 1
+        self.stats.sat_conflicts += sat.conflicts - c0
+        self.stats.sat_decisions += sat.decisions - d0
+        self.stats.sat_propagations += sat.propagations - p0
+        self.stats.learned_clauses += len(sat.learnts) - l0
+        self._live_queries += 1
 
-        return self._check_sat(goal)
+        values = self._extract_values(goal, sat.model) \
+            if result == SatResult.SAT else None
+        if self._live_queries >= self.max_live_queries or \
+                len(sat.clauses) + len(sat.learnts) >= _MAX_LIVE_CLAUSES:
+            self._retire()
+        return result, values
 
-    def model(self) -> Model:
-        if self._model is None:
-            raise RuntimeError("no model available (last check was not SAT)")
-        return self._model
+    def _extract_values(self, goal: Sequence[Term],
+                        sat_model: Dict[int, bool]) -> Dict[str, int]:
+        # restrict to the variables of THIS query: the blaster knows
+        # every variable any query ever mentioned, and values for the
+        # others would leak junk into race witnesses
+        blaster = self._blaster
+        assert blaster is not None
+        values: Dict[str, int] = {}
+        for name in T.free_vars(*self.preamble, *goal):
+            if name in blaster.var_bits:
+                values[name] = blaster.extract_value(name, sat_model)
+            elif name in blaster.bool_vars:
+                values[name] = int(blaster.extract_bool(name, sat_model))
+        return values
 
     # ------------------------------------------------------------------
-    # SAT layer
+    # instance lifetime
     # ------------------------------------------------------------------
 
     def _ensure_sat(self) -> None:
@@ -329,89 +280,3 @@ class SolverSession:
         self._retained = learnts[:_MAX_RETAINED]
         self._retained_keys = {frozenset(c) for c in self._retained}
         return True
-
-    def _check_sat(self, goal: List[Term]) -> str:
-        self._ensure_sat()
-        blaster, sat = self._blaster, self._sat
-        assert blaster is not None and sat is not None
-        sat.deadline = self.deadline
-        sat.conflict_budget = self.conflict_budget
-
-        # Blast top-level conjuncts separately: the big shared ones
-        # (flow conditions) stay on the incremental sharing path (the
-        # blaster's node map answers them for free on later queries),
-        # while the small per-pair ones (offset equations) are exactly
-        # what the template cache instantiates.
-        conjuncts: List[Term] = []
-        seen_ids = set()
-        stack = list(reversed(goal))
-        while stack:
-            t = stack.pop()
-            if t.op == T.Op.BAND:
-                stack.extend(reversed(t.args))
-                continue
-            if id(t) not in seen_ids:
-                seen_ids.add(id(t))
-                conjuncts.append(t)
-        th0 = blaster.template_hits
-        assumptions = [blaster.blast_assume(t) for t in conjuncts]
-        self.stats.template_hits += blaster.template_hits - th0
-        sat.ensure_vars(self._cnf.num_vars)
-
-        c0, d0 = sat.conflicts, sat.decisions
-        p0, l0 = sat.propagations, len(sat.learnts)
-        result = sat.solve(assumptions)
-        self.stats.by_session += 1
-        self.stats.sat_conflicts += sat.conflicts - c0
-        self.stats.sat_decisions += sat.decisions - d0
-        self.stats.sat_propagations += sat.propagations - p0
-        self.stats.learned_clauses += len(sat.learnts) - l0
-        self._live_queries += 1
-
-        outcome = CheckResult.UNKNOWN
-        if result == SatResult.UNSAT:
-            outcome = CheckResult.UNSAT
-        elif result == SatResult.SAT:
-            outcome = self._accept(
-                goal, self._extract_values(goal, sat.model))
-
-        if self._live_queries >= self.max_live_queries or \
-                len(sat.clauses) + len(sat.learnts) >= self.max_live_clauses:
-            self._retire()
-        return outcome
-
-    def _accept(self, goal: List[Term], values: Dict[str, int]) -> str:
-        """Answer SAT with a validated model."""
-        model = Model(values)
-        if self.validate_models:
-            self._validate(goal, model)
-        self._model = model
-        return CheckResult.SAT
-
-    def _extract_values(self, goal: List[Term],
-                        sat_model: Dict[int, bool]) -> Dict[str, int]:
-        # restrict to the variables of THIS query: the blaster knows
-        # every variable any query ever mentioned, and values for the
-        # others would leak junk into race witnesses
-        blaster = self._blaster
-        assert blaster is not None
-        values: Dict[str, int] = {}
-        for name in T.free_vars(*self.preamble, *goal):
-            if name in blaster.var_bits:
-                values[name] = blaster.extract_value(name, sat_model)
-            elif name in blaster.bool_vars:
-                values[name] = int(blaster.extract_bool(name, sat_model))
-        return values
-
-    def _validate(self, goal: List[Term], model: Model) -> None:
-        assignment = dict(model.values)
-        for t in self.preamble + goal:
-            for name in T.free_vars(t):
-                assignment.setdefault(name, 0)
-            try:
-                ok = evaluate(t, assignment)
-            except EvaluationError:
-                continue  # uninterpreted applications: nothing to validate
-            if not ok:
-                raise AssertionError(
-                    f"session produced an invalid model {model} for {t}")

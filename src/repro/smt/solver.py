@@ -1,40 +1,48 @@
-"""Layered satisfiability solver for QF_BV queries.
+"""Layered satisfiability solving for QF_BV queries.
 
-The pipeline mirrors what production concolic engines do in front of their
-SAT core:
+Every query the checker asks takes this one path: the executor's
+branch-feasibility checks, per-flow test generation, and race and
+stream-pair discharge. A :class:`Solver` holds one fixed *preamble*
+(thread bounds, launch assumptions, ``t1 != t2``) and answers
+``preamble AND goal`` for a goal at a time. The layers mirror what
+production concolic engines put in front of their SAT core:
 
-1. **Simplify** each assertion (constant folding + algebraic rewrites).
-2. **Trivial** answers: an assertion simplified to ``false`` is UNSAT; all
-   ``true`` is SAT with an arbitrary model.
-3. **Interval pre-filter**: derive per-variable bounds from the conjuncts
-   and abstractly evaluate — many race queries (disjoint strides) die here
-   without bit-blasting.
-4. **Model reuse**: evaluate the goal under the last few models this
-   solver produced, newest first (KLEE's counterexample cache). A model
-   that makes every conjunct true answers SAT without bit-blasting; this
-   layer never answers UNSAT.
-5. **Range chains**: a conjunction of range tests over one shared base
+1. **Simplify** the preamble once and each goal conjunct per query
+   (constant folding + algebraic rewrites).
+2. **Trivial** answers: a conjunct simplified to ``false`` is UNSAT;
+   nothing left to check is SAT with an empty model.
+3. **Interval pre-filter**: per-variable bounds from the preamble and
+   the goal; a conjunct false under them is UNSAT without bit-blasting
+   — many race queries (disjoint strides) die here.
+4. **Range chains**: a conjunction of range tests over one shared base
    term (grid-stride loop exits, out-of-bounds tests) is decided by
    intersecting intervals on the base (:mod:`repro.smt.ranges`). It
    works from the interval layer's analysis, so it runs only with it.
-6. **Bit-blast + CDCL SAT** with an optional conflict budget.
+5. **SAT**: the preamble's :class:`~repro.smt.session.SolverSession`,
+   a live incremental instance that blasts the preamble once and
+   answers each goal under assumption literals, with an optional
+   conflict budget.
 
-Models are validated against the concrete evaluator before being returned,
-so a solver bug surfaces as a loud exception instead of a bogus witness.
+Models are validated against the concrete evaluator before being
+returned, so a solver bug surfaces as a loud exception instead of a
+bogus witness.
+
+:class:`QueryMemo` is the cross-query cache pair discharge keeps above
+its solvers: interned canonical goal term -> verdict (+ model values),
+so structurally identical pairs — rampant in unrolled kernels — never
+reach a solver at all. UNKNOWN is never memoized.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitblast import BitBlaster
-from .cnf import CNF
-from .interval import IntervalAnalysis, derive_bounds
+from .bitblast import TemplateCache
+from .interval import Interval, IntervalAnalysis, derive_bounds
 from .ranges import decide_chain, parse_chain
-from .sat import SatResult, SatSolver
+from .sat import SatResult
+from .session import SolverSession
 from .simplify import simplify
-from .sorts import BOOL, BVSort
 from . import terms as T
 from .subst import EvaluationError, evaluate
 from .terms import Term
@@ -69,22 +77,18 @@ class Model:
 
 @dataclass
 class SolverStats:
-    """Where queries were dispatched; drives the solver ablation bench.
+    """Which layer answered each query; drives the solver ablation bench.
 
-    ``by_sat`` counts queries that required a *fresh* bitblast + SAT
-    instance (the one-shot path); ``by_reuse`` counts queries answered
-    by an earlier model of the same solver; ``by_range`` counts queries
-    decided on the word level as range chains; ``by_session`` counts
-    queries answered by assumption on a live incremental instance.
-    ``sat_instances`` is the number of SAT solver constructions either
-    way — the work the blast-once preamble amortises.
+    ``by_range`` counts queries decided on the word level as range
+    chains; ``by_session`` counts queries answered by assumption on the
+    live incremental SAT instance. ``sat_instances`` is the number of
+    SAT solver constructions — the work the blast-once preamble
+    amortises.
     """
 
     queries: int = 0
     by_simplifier: int = 0
     by_interval: int = 0
-    by_sat: int = 0
-    by_reuse: int = 0
     by_range: int = 0
     by_session: int = 0
     sat_instances: int = 0
@@ -112,92 +116,143 @@ class SolverStats:
 
     def delta_since(self, before: "SolverStats") -> "SolverStats":
         """Counter-wise ``self - before``: the work done since a
-        snapshot, for callers attributing shared-session work."""
+        snapshot, for callers attributing shared-solver work."""
         out = SolverStats()
         for f in out.__dataclass_fields__:
             setattr(out, f, getattr(self, f) - getattr(before, f))
         return out
 
 
-#: models a :class:`Solver` keeps for the reuse layer
-MODEL_HISTORY = 8
+class QueryMemo:
+    """Canonical-query result cache (term identity -> verdict + model).
+
+    Keys are ``(context_key, id(canonical_goal))``: interning makes
+    ``id`` a stable global identity for a term, and the context key
+    distinguishes preambles. SAT entries carry the witness values so a
+    hit reproduces the solver's answer; UNKNOWN is never stored (a
+    bigger budget might decide it later).
+    """
+
+    def __init__(self) -> None:
+        self._table: Dict[tuple, Tuple[str, Optional[Dict[str, int]]]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple) -> Optional[Tuple[str, Optional[Dict[str, int]]]]:
+        entry = self._table.get(key)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
+
+    def put(self, key: tuple, result: str,
+            values: Optional[Dict[str, int]] = None) -> None:
+        if result == CheckResult.UNKNOWN:
+            return
+        self._table[key] = (result, values)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+#: process-wide template cache: keyed purely on term structure, so it is
+#: sound to share across solvers, preambles, and checkers (see
+#: :class:`~repro.smt.bitblast.TemplateCache`); capped in size.
+_SHARED_TEMPLATES = TemplateCache()
 
 
 class Solver:
-    """One-shot satisfiability checking with incremental assertion adding."""
+    """Layered satisfiability of ``preamble AND goal`` for one fixed
+    preamble; the SAT layer is :attr:`session`.
 
-    def __init__(self, *, use_simplifier: bool = True,
-                 use_interval: bool = True,
+    The SAT layer's options: *conflict_budget* and *deadline* bound each
+    SAT query (UNKNOWN when exhausted); the live instance is rebuilt
+    from the preamble snapshot after *max_live_queries* queries (see
+    :class:`~repro.smt.session.SolverSession`); *templates* instantiates
+    repeated goal skeletons (race-pair offsets), and ``None`` turns that
+    off (the differential test references, which must not share the
+    cache with the path under test).
+    """
+
+    def __init__(self, preamble: Sequence[Term] = (), *,
                  conflict_budget: Optional[int] = 200_000,
                  deadline: Optional[float] = None,
-                 validate_models: bool = True) -> None:
-        self.assertions: List[Term] = []
+                 use_simplifier: bool = True,
+                 use_interval: bool = True,
+                 max_live_queries: int = 256,
+                 templates: Optional[TemplateCache] = _SHARED_TEMPLATES
+                 ) -> None:
         self.use_simplifier = use_simplifier
         self.use_interval = use_interval
-        self.conflict_budget = conflict_budget
-        self.deadline = deadline
-        self.validate_models = validate_models
         self.stats = SolverStats()
+
+        terms = [simplify(t) for t in preamble] if use_simplifier \
+            else list(preamble)
+        #: the preamble alone is contradictory: every query is UNSAT
+        self._failed = any(t.is_false() for t in terms)
+        self.preamble: List[Term] = [t for t in terms if not t.is_true()]
+        self._preamble_bounds: Dict[str, Interval] = \
+            derive_bounds(self.preamble) if use_interval else {}
+        #: the preamble parsed for the range-chain layer; None when some
+        #: preamble conjunct does not fit, which rules the layer out
+        self._preamble_chain = parse_chain(self.preamble) \
+            if use_interval else None
+        self.session = SolverSession(
+            self.preamble, self.stats, conflict_budget=conflict_budget,
+            deadline=deadline, max_live_queries=max_live_queries,
+            templates=templates)
         self._model: Optional[Model] = None
-        #: values of the last MODEL_HISTORY models, newest first
-        self._history: Deque[Dict[str, int]] = deque(maxlen=MODEL_HISTORY)
 
     # ------------------------------------------------------------------
 
-    def add(self, *terms: Term) -> None:
-        for t in terms:
-            if t.sort is not BOOL:
-                raise TypeError(f"assertions must be Bool, got {t.sort}")
-            self.assertions.append(t)
-
-    def push_scope(self) -> int:
-        return len(self.assertions)
-
-    def pop_scope(self, mark: int) -> None:
-        del self.assertions[mark:]
-
-    # ------------------------------------------------------------------
-
-    def check(self, *extra: Term) -> str:
-        """Check satisfiability of the conjunction of all assertions."""
+    def check(self, goal: Sequence[Term] = ()) -> str:
+        """Satisfiability of ``preamble AND goal`` (layered)."""
         self.stats.queries += 1
         self._model = None
-        goal = list(self.assertions) + list(extra)
+        if self._failed:
+            self.stats.by_simplifier += 1
+            return CheckResult.UNSAT
 
         if self.use_simplifier:
             goal = [simplify(t) for t in goal]
+        else:
+            goal = list(goal)
         if any(t.is_false() for t in goal):
             self.stats.by_simplifier += 1
             return CheckResult.UNSAT
         goal = [t for t in goal if not t.is_true()]
-        if not goal:
+        if not goal and not self.preamble:
             self.stats.by_simplifier += 1
             self._model = Model({})
             return CheckResult.SAT
 
-        analysis = None
         if self.use_interval:
-            bounds = derive_bounds(goal)
+            bounds = dict(self._preamble_bounds)
+            for name, iv in derive_bounds(goal).items():
+                cur = bounds.get(name)
+                bounds[name] = iv if cur is None else (cur.meet(iv) or cur)
             analysis = IntervalAnalysis(bounds)
-            if any(analysis.must_be_false(t) for t in goal):
+            if any(analysis.must_be_false(t)
+                   for t in self.preamble + goal):
                 self.stats.by_interval += 1
                 return CheckResult.UNSAT
 
-        model = self._reuse(goal)
-        if model is not None:
-            self.stats.by_reuse += 1
-            self._model = model
-            return CheckResult.SAT
-        if analysis is not None:
-            chain = parse_chain(goal)
-            verdict = None if chain is None else \
-                decide_chain(chain, analysis)
-            if verdict is not None:
-                self.stats.by_range += 1
-                satisfiable, values = verdict
-                return self._accept(goal, values) if satisfiable \
-                    else CheckResult.UNSAT
-        return self._check_sat(goal)
+            if self._preamble_chain is not None:
+                chain = parse_chain(goal, self._preamble_chain)
+                verdict = None if chain is None else \
+                    decide_chain(chain, analysis)
+                if verdict is not None:
+                    self.stats.by_range += 1
+                    satisfiable, values = verdict
+                    return self._accept(goal, values) if satisfiable \
+                        else CheckResult.UNSAT
+
+        result, values = self.session.check(goal)
+        if result == SatResult.SAT:
+            return self._accept(goal, values)
+        return CheckResult.UNSAT if result == SatResult.UNSAT \
+            else CheckResult.UNKNOWN
 
     def model(self) -> Model:
         if self._model is None:
@@ -206,62 +261,18 @@ class Solver:
 
     # ------------------------------------------------------------------
 
-    def _reuse(self, goal: List[Term]) -> Optional[Model]:
-        """An earlier model that makes every conjunct of ``goal`` true,
-        restricted to the goal's variables (absent ones read as 0)."""
-        if not self._history:
-            return None
-        names = [t.name for t in T.iter_dag(goal) if t.is_var()]
-        for values in self._history:
-            assignment = {name: values.get(name, 0) for name in names}
-            cache: Dict[int, int] = {}
-            try:
-                if all(evaluate(t, assignment, cache) for t in goal):
-                    return Model(assignment)
-            except EvaluationError:
-                continue  # uninterpreted applications: no concrete value
-        return None
-
-    def _check_sat(self, goal: List[Term]) -> str:
-        self.stats.by_sat += 1
-        self.stats.sat_instances += 1
-        blaster = BitBlaster()
-        for t in goal:
-            blaster.assert_term(t)
-        sat = SatSolver(blaster.cnf, conflict_budget=self.conflict_budget,
-                        deadline=self.deadline)
-        result = sat.solve()
-        self.stats.sat_conflicts += sat.conflicts
-        self.stats.sat_decisions += sat.decisions
-        self.stats.sat_propagations += sat.propagations
-        self.stats.learned_clauses += len(sat.learnts)
-        if result == SatResult.UNKNOWN:
-            return CheckResult.UNKNOWN
-        if result == SatResult.UNSAT:
-            return CheckResult.UNSAT
-
-        values: Dict[str, int] = {}
-        for name in blaster.var_bits:
-            values[name] = blaster.extract_value(name, sat.model)
-        for name in blaster.bool_vars:
-            values[name] = int(blaster.extract_bool(name, sat.model))
-        return self._accept(goal, values)
-
     def _accept(self, goal: List[Term], values: Dict[str, int]) -> str:
-        """Answer SAT with a validated model, kept for the reuse
-        layer."""
+        """Answer SAT with a validated model."""
         model = Model(values)
-        if self.validate_models:
-            self._validate(goal, model)
+        self._validate(goal, model)
         self._model = model
-        self._history.appendleft(values)
         return CheckResult.SAT
 
-    def _validate(self, goal: Iterable[Term], model: Model) -> None:
+    def _validate(self, goal: List[Term], model: Model) -> None:
         assignment = dict(model.values)
-        for t in goal:
-            # fill variables the blaster never saw (eliminated by simplify)
-            for name, var in T.free_vars(t).items():
+        for t in self.preamble + goal:
+            # fill variables no layer assigned (eliminated by simplify)
+            for name in T.free_vars(t):
                 assignment.setdefault(name, 0)
             try:
                 ok = evaluate(t, assignment)
@@ -270,19 +281,3 @@ class Solver:
             if not ok:
                 raise AssertionError(
                     f"solver produced an invalid model {model} for {t}")
-
-
-def is_sat(*terms: Term, **kwargs) -> bool:
-    """Convenience: one-shot satisfiability of a conjunction."""
-    solver = Solver(**kwargs)
-    solver.add(*terms)
-    return solver.check() == CheckResult.SAT
-
-
-def get_model(*terms: Term, **kwargs) -> Optional[Model]:
-    """Convenience: model of a conjunction, or None if UNSAT/unknown."""
-    solver = Solver(**kwargs)
-    solver.add(*terms)
-    if solver.check() == CheckResult.SAT:
-        return solver.model()
-    return None

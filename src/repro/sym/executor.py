@@ -126,11 +126,12 @@ class Executor:
 
         self.steps = 0
         self.num_splits = 0
-        # one solver for the whole run: its assertions (thread bounds and
-        # launch assumptions) never change, and its model history lets
-        # the reuse layer answer most feasible refinements
-        self._feas_solver = Solver(conflict_budget=3_000)
-        self._feas_solver.add(*self.env.bounds(), *config.assumptions)
+        # one solver for the whole run: its preamble (thread bounds and
+        # launch assumptions) never changes, so the SAT layer blasts it
+        # once
+        self._feas_solver = Solver(
+            [*self.env.bounds(), *config.assumptions],
+            conflict_budget=3_000)
         self._feas_cache: Dict[int, bool] = {}
         self.result = ExecutionResult(
             kernel=kernel.name, mode=mode, config=config, env=self.env,
@@ -413,7 +414,7 @@ class Executor:
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
-        verdict = self._feas_solver.check(cond) != CheckResult.UNSAT
+        verdict = self._feas_solver.check([cond]) != CheckResult.UNSAT
         self._feas_cache[key] = verdict
         return verdict
 

@@ -10,9 +10,9 @@ checker's are threads of two different launches (``!L<i>``).
 * footprint and stride disjointness, proved per side by interval and
   affine analysis before any solving;
 * the overlap term of the two byte ranges;
-* the memo → :class:`~repro.smt.session.SolverSession` solve, one
-  session per distinct preamble, where UNKNOWN marks the verdict timed
-  out;
+* the memo → :class:`~repro.smt.solver.Solver` solve, one solver
+  (and incremental SAT session) per distinct preamble, where UNKNOWN
+  marks the verdict timed out;
 * the benign classification of colliding write/write pairs, which only
   a definite UNSAT can grant;
 * the race kind and the witness coordinates.
@@ -27,8 +27,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..smt import (
-    CheckResult, Model, QueryMemo, SolverSession, Substitution, TRUE,
-    Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
+    CheckResult, Model, QueryMemo, Solver, SolverSession, Substitution,
+    TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
 )
 from ..smt.affine import AffineForm, affine_decompose, stride_separated
 from ..smt.interval import Interval, IntervalAnalysis, byte_footprint
@@ -149,12 +149,12 @@ class PairDischarge:
     below with its own pair enumeration. The solve keeps one session
     per distinct preamble (keyed on interned term identities) and a
     cross-query memo; callers that re-check near-identical programs
-    pass shared *sessions* / *memo* containers.
+    pass shared *sessions* (preamble key -> :class:`~repro.smt.Solver`)
+    and *memo* containers.
     """
 
     def __init__(self, solver_budget: Optional[int],
-                 sessions: Optional[Dict[Tuple[int, ...],
-                                         SolverSession]] = None,
+                 sessions: Optional[Dict[Tuple[int, ...], Solver]] = None,
                  memo: Optional[QueryMemo] = None) -> None:
         self.solver_budget = solver_budget
         self.timed_out = False
@@ -230,8 +230,8 @@ class PairDischarge:
                preamble: Sequence[Term]) -> Optional[Model]:
         """SAT model of ``preamble AND goal``, or None (UNSAT/unknown).
 
-        Canonicalises the goal, consults the memo, then checks it as
-        assumptions against the session holding the blasted preamble.
+        Canonicalises the goal, consults the memo, then checks it on the
+        preamble's solver, whose SAT layer holds the blasted preamble.
         UNKNOWN (the conflict budget or deadline ran out) sets
         :attr:`timed_out`: the verdict carries the same T.O. marker as
         a wall-clock timeout.
@@ -246,15 +246,15 @@ class PairDischarge:
             result, values = hit
             return Model(dict(values)) if result == CheckResult.SAT else None
 
-        session = self._session_for(preamble, pkey)
+        solver = self._solver_for(preamble, pkey)
         replay = self._replay_persisted(preamble, goal, pkey, canon, key)
         if replay is not _MISS:
             return replay
-        before = session.stats.copy()
-        outcome = session.check([canon] if canon is not TRUE else [])
-        self.stats.solver.merge(session.stats.delta_since(before))
+        before = solver.stats.copy()
+        outcome = solver.check([canon] if canon is not TRUE else [])
+        self.stats.solver.merge(solver.stats.delta_since(before))
         if outcome == CheckResult.SAT:
-            model = session.model()
+            model = solver.model()
             self._memo.put(key, outcome, dict(model.values))
             self._record_persisted(pkey, canon, outcome,
                                    dict(model.values))
@@ -266,23 +266,23 @@ class PairDischarge:
         self._record_persisted(pkey, canon, outcome, None)
         return None
 
-    def _session_for(self, preamble: Sequence[Term],
-                     pkey: Tuple[int, ...]) -> SolverSession:
-        session = self._sessions.get(pkey)
-        if session is None:
-            # the session owns its stats: sessions may outlive this
+    def _solver_for(self, preamble: Sequence[Term],
+                    pkey: Tuple[int, ...]) -> Solver:
+        solver = self._sessions.get(pkey)
+        if solver is None:
+            # the solver owns its stats: solvers may outlive this
             # client (the repair loop shares them across re-checks), so
             # each query's delta is merged in _solve instead
-            session = SolverSession(
-                list(preamble), conflict_budget=self.solver_budget,
-                deadline=self._deadline)
-            self._sessions[pkey] = session
+            solver = Solver(list(preamble),
+                            conflict_budget=self.solver_budget,
+                            deadline=self._deadline)
+            self._sessions[pkey] = solver
             self.stats.sessions_created += 1
-            self._warm_session(preamble, pkey, session)
+            self._warm_session(preamble, pkey, solver.session)
         else:
             self.stats.preamble_reuse += 1
-            session.deadline = self._deadline
-        return session
+            solver.session.deadline = self._deadline
+        return solver
 
     # cross-run persistence hooks (no-ops unless a client persists)
 

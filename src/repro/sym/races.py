@@ -30,8 +30,9 @@ from ..store import ResultCache, content_key
 
 from .. import ir
 from ..smt import (
-    CheckResult, FALSE, Model, QueryMemo, SolverSession, SolverStats,
-    TRUE, Term, mk_and, mk_bv, mk_eq, mk_not, mk_udiv, mk_ule, simplify,
+    CheckResult, FALSE, Model, QueryMemo, Solver, SolverSession,
+    SolverStats, TRUE, Term, mk_and, mk_bv, mk_eq, mk_not, mk_udiv, mk_ule,
+    simplify,
 )
 from ..smt.affine import affine_decompose, equality_forces_equal_components
 from ..smt.interval import Interval
@@ -188,8 +189,7 @@ class RaceChecker(PairDischarge):
                  solver_budget: Optional[int] = 200_000,
                  max_reports: int = 16,
                  extra_assumptions: Optional[List[Term]] = None,
-                 sessions: Optional[Dict[Tuple[int, ...],
-                                         SolverSession]] = None,
+                 sessions: Optional[Dict[Tuple[int, ...], Solver]] = None,
                  memo: Optional[QueryMemo] = None) -> None:
         # callers running the checker repeatedly over near-identical
         # programs (the CEGIS repair loop) pass shared sessions / memo
@@ -858,8 +858,9 @@ class RaceChecker(PairDischarge):
             key = self._artifact_keys.get(pkey)
             if key is None:
                 continue
-            session = self._sessions.get(pkey)
-            state = session.export_state() if session is not None else None
+            solver = self._sessions.get(pkey)
+            state = solver.session.export_state() \
+                if solver is not None else None
             if state is None:
                 # no session reached the SAT layer this run (everything
                 # replayed or affine-discharged): refresh the loaded

@@ -25,14 +25,14 @@ def pytest_collection_modifyitems(config, items):
 
 def _one_shot_solve(self, goal, preamble):
     """Reference for the shared pair-discharge ``_solve``: the whole
-    ``preamble AND goal`` conjunction on a fresh :class:`~repro.smt.Solver`
-    — no session, no memo."""
+    ``preamble AND goal`` conjunction as the goal of a fresh
+    :class:`~repro.smt.Solver` with an empty preamble — no shared SAT
+    instance, no template cache, no memo."""
     from repro.smt import CheckResult, Solver, mk_and
     self.stats.queries += 1
-    solver = Solver(conflict_budget=self.solver_budget,
-                    deadline=self._deadline)
-    solver.add(mk_and(*preamble, *goal))
-    outcome = solver.check()
+    solver = Solver([], conflict_budget=self.solver_budget,
+                    deadline=self._deadline, templates=None)
+    outcome = solver.check([mk_and(*preamble, *goal)])
     if outcome == CheckResult.SAT:
         return solver.model()
     if outcome == CheckResult.UNKNOWN:

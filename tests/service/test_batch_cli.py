@@ -110,6 +110,16 @@ class TestBatchCli:
         assert main(["batch", "builtin:nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_cache_dir_that_is_a_file_exits_2(self, examples_dir, tmp_path,
+                                               capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        assert main(["batch", examples_dir, "--cache-dir",
+                     str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and "not-a-dir" in err
+        assert "Traceback" not in err
+
 
 class TestCacheKeyCrossProcess:
     def test_keys_stable_across_interpreter_runs(self, examples_dir):

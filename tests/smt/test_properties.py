@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.smt import (
-    BOOL, Solver, bv_sort, evaluate, get_model, is_sat, mk_add, mk_and,
+    BOOL, CheckResult, Solver, bv_sort, evaluate, mk_add, mk_and,
     mk_ashr, mk_bv, mk_bv_var, mk_bvand, mk_bvnot, mk_bvor, mk_bvxor,
     mk_eq, mk_extract, mk_ite, mk_lshr, mk_mul, mk_ne, mk_not, mk_or,
     mk_sdiv, mk_sext, mk_shl, mk_sle, mk_slt, mk_srem, mk_sub, mk_udiv,
@@ -128,14 +128,15 @@ def test_full_solver_agrees_with_evaluator(term, env):
         mk_eq(b, mk_bv(env["b"], WIDTH)),
         term if expected else mk_not(term),
     )
-    assert is_sat(pinned)
+    assert Solver().check([pinned]) == CheckResult.SAT
 
 
 @settings(max_examples=40, deadline=None)
 @given(term=bool_terms(depth=1))
 def test_models_satisfy_their_formula(term):
-    model = get_model(term)
-    if model is not None:
+    solver = Solver()
+    if solver.check([term]) == CheckResult.SAT:
+        model = solver.model()
         env = {"a": model.get("a", 0), "b": model.get("b", 0)}
         assert evaluate(term, env) is True
     else:

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.smt import (
-    CheckResult, Solver, SolverSession, evaluate, mk_add, mk_and, mk_bv,
+    CheckResult, Solver, evaluate, mk_add, mk_and, mk_bv,
     mk_bv_var, mk_mul, mk_ne, mk_not, mk_shl, mk_ule, mk_ult,
 )
 
@@ -34,8 +34,9 @@ def rbv(value):
 
 
 def sat_core_answer(conjuncts):
-    """The verdict with the interval and range layers off."""
-    return Solver(use_interval=False).check(*conjuncts)
+    """The verdict with the interval and range layers and the shared
+    template cache off."""
+    return Solver(use_interval=False, templates=None).check(conjuncts)
 
 
 @st.composite
@@ -94,16 +95,12 @@ def test_layer_agrees_with_sat_core(query):
     facts, preds = query
     expected = sat_core_answer(facts + preds)
 
-    solver = Solver()
-    assert solver.check(*facts, *preds) == expected
-    if solver.stats.by_range and expected == CheckResult.SAT:
-        assert_model_holds(facts + preds, solver.model().values)
-
-    session = SolverSession(facts)
-    assert session.check(preds) == expected
-    if session.stats.by_range and expected == CheckResult.SAT:
-        assert_model_holds(facts + preds, session.model().values)
-    assert session.stats.answered() == session.stats.queries
+    # the whole query as the goal, and split at the preamble
+    for solver, goal in ((Solver(), facts + preds), (Solver(facts), preds)):
+        assert solver.check(goal) == expected
+        if solver.stats.by_range and expected == CheckResult.SAT:
+            assert_model_holds(facts + preds, solver.model().values)
+        assert solver.stats.answered() == solver.stats.queries
 
 
 class TestDecisions:
@@ -114,7 +111,7 @@ class TestDecisions:
         goal = [mk_ult(A, bv(200)), mk_ult(mk_add(A, bv(100)), bv(50)),
                 mk_not(mk_ult(mk_add(A, bv(130)), bv(100)))]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.UNSAT
+        assert solver.check(goal) == CheckResult.UNSAT
         assert solver.stats.by_range == 1
         assert solver.stats.sat_instances == 0
         assert sat_core_answer(goal) == CheckResult.UNSAT
@@ -123,7 +120,7 @@ class TestDecisions:
         goal = [mk_ult(A, bv(200)), mk_ult(mk_add(A, bv(100)), bv(50)),
                 mk_not(mk_ult(A, bv(180)))]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 1
         assert solver.model()["a"] == 180
 
@@ -132,11 +129,11 @@ class TestDecisions:
         # the preimage of a scaled bound must round up at its low end
         triple = mk_mul(A, bv(3))
         solver = Solver()
-        assert solver.check(mk_ult(A, bv(50)), mk_ult(bv(10), triple),
-                            mk_ult(triple, bv(14))) == CheckResult.SAT
+        assert solver.check([mk_ult(A, bv(50)), mk_ult(bv(10), triple),
+                             mk_ult(triple, bv(14))]) == CheckResult.SAT
         assert solver.model().values == {"a": 4}
-        assert solver.check(mk_ult(A, bv(50)), mk_ult(bv(10), triple),
-                            mk_ult(triple, bv(12))) == CheckResult.UNSAT
+        assert solver.check([mk_ult(A, bv(50)), mk_ult(bv(10), triple),
+                             mk_ult(triple, bv(12))]) == CheckResult.UNSAT
         assert solver.stats.by_range == 2
 
     def test_model_maps_back_through_shift(self):
@@ -145,7 +142,7 @@ class TestDecisions:
                 mk_not(mk_ult(base, bv(5))),
                 mk_ult(mk_add(base, bv(3)), bv(20))]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 1
         assert solver.model().values == {"a": 1, "b": 1}
 
@@ -154,7 +151,7 @@ class TestDecisions:
         goal = [mk_ult(A, bv(5)), mk_ult(B, bv(10)),
                 mk_ult(bv(22), base)]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 1
         assert solver.model().values == {"a": 3, "b": 4}
 
@@ -163,9 +160,9 @@ class TestFallThrough:
     def test_overflowing_step_reaches_sat_core(self):
         goal = [mk_ult(A, bv(200)), mk_ult(mk_shl(A, bv(2)), bv(10))]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 0
-        assert solver.stats.by_sat == 1
+        assert solver.stats.by_session == 1
 
     def test_inexact_digit_range_sat_reaches_sat_core(self):
         # a < 3 leaves base values with a = 3 unreachable: a value in
@@ -174,37 +171,37 @@ class TestFallThrough:
         goal = [mk_ult(A, bv(3)), mk_ult(B, bv(10)),
                 mk_ult(bv(6), base)]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 0
-        assert solver.stats.by_sat == 1
+        assert solver.stats.by_session == 1
 
     def test_non_chain_conjunct_is_not_answered(self):
         t1, t2 = mk_bv_var("t1", W), mk_bv_var("t2", W)
         goal = [mk_ult(t1, bv(64)), mk_ult(t2, bv(64)),
                 mk_ult(mk_add(t1, bv(8)), bv(40)), mk_ne(t1, t2)]
         solver = Solver()
-        assert solver.check(*goal) == CheckResult.SAT
+        assert solver.check(goal) == CheckResult.SAT
         assert solver.stats.by_range == 0
-        assert solver.stats.by_sat == 1
+        assert solver.stats.by_session == 1
 
     def test_session_preamble_that_does_not_fit_rules_layer_out(self):
         t1, t2 = mk_bv_var("t1", W), mk_bv_var("t2", W)
-        session = SolverSession([mk_ult(t1, bv(64)), mk_ult(t2, bv(64)),
-                                 mk_ne(t1, t2)])
-        assert session.check([mk_ult(mk_add(t1, bv(8)), bv(40))]) \
+        solver = Solver([mk_ult(t1, bv(64)), mk_ult(t2, bv(64)),
+                         mk_ne(t1, t2)])
+        assert solver.check([mk_ult(mk_add(t1, bv(8)), bv(40))]) \
             == CheckResult.SAT
-        assert session.stats.by_range == 0
-        assert session.stats.by_session == 1
+        assert solver.stats.by_range == 0
+        assert solver.stats.by_session == 1
 
     def test_session_decides_chain_without_sat_instance(self):
         base = mk_add(A, mk_shl(B, bv(2)))
-        session = SolverSession([mk_ult(A, bv(4)), mk_ult(B, bv(10))])
-        assert session.check([mk_ult(bv(30), mk_add(base, bv(1)))]) \
+        solver = Solver([mk_ult(A, bv(4)), mk_ult(B, bv(10))])
+        assert solver.check([mk_ult(bv(30), mk_add(base, bv(1)))]) \
             == CheckResult.SAT
         # base + 230 wraps, so only the range layer sees that no base
         # value in [10, 19] passes it
-        assert session.check([mk_ult(mk_add(base, bv(230)), bv(240)),
-                              mk_not(mk_ult(base, bv(10))),
-                              mk_ult(base, bv(20))]) == CheckResult.UNSAT
-        assert session.stats.by_range == 2
-        assert session.stats.sat_instances == 0
+        assert solver.check([mk_ult(mk_add(base, bv(230)), bv(240)),
+                             mk_not(mk_ult(base, bv(10))),
+                             mk_ult(base, bv(20))]) == CheckResult.UNSAT
+        assert solver.stats.by_range == 2
+        assert solver.stats.sat_instances == 0

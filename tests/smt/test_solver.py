@@ -4,18 +4,28 @@ import pytest
 from hypothesis import given, settings
 
 from repro.smt import (
-    CheckResult, Solver, get_model, is_sat, mk_add, mk_and, mk_bv,
-    mk_bv_var, mk_bvand, mk_bvxor, mk_eq, mk_lshr, mk_mul, mk_ne, mk_not,
-    mk_or, mk_shl, mk_ult, mk_urem, evaluate,
+    CheckResult, Solver, mk_add, mk_and, mk_bv, mk_bv_var, mk_bvand,
+    mk_bvxor, mk_eq, mk_lshr, mk_mul, mk_ne, mk_not, mk_or, mk_shl, mk_ult,
+    mk_urem, evaluate,
 )
-from repro.smt.solver import MODEL_HISTORY
-from repro.smt.terms import mk_uf
 
 from .test_properties import bool_terms
 
 
 def bv(value, width=32):
     return mk_bv(value, width)
+
+
+def get_model(*terms):
+    """Model of the conjunction on a fresh solver, or None."""
+    solver = Solver()
+    if solver.check(list(terms)) == CheckResult.SAT:
+        return solver.model()
+    return None
+
+
+def is_sat(*terms):
+    return get_model(*terms) is not None
 
 
 class TestBasicQueries:
@@ -36,8 +46,7 @@ class TestBasicQueries:
 
     def test_unsat_has_no_model(self):
         x = mk_bv_var("x")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(0)))
+        solver = Solver([mk_ult(x, bv(0))])
         assert solver.check() == CheckResult.UNSAT
         with pytest.raises(RuntimeError):
             solver.model()
@@ -136,41 +145,31 @@ class TestHistoFinalOOB:
 class TestSolverLayers:
     def test_interval_layer_catches_disjoint_strides(self):
         x = mk_bv_var("x")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(8)), mk_eq(x, bv(100)))
-        assert solver.check() == CheckResult.UNSAT
-        assert solver.stats.by_sat == 0  # never reached the SAT core
+        solver = Solver([mk_ult(x, bv(8))])
+        assert solver.check([mk_eq(x, bv(100))]) == CheckResult.UNSAT
+        assert solver.stats.by_interval == 1
+        assert solver.stats.sat_instances == 0  # never reached SAT
 
     def test_simplifier_layer_catches_mask_contradiction(self):
         x = mk_bv_var("x")
         solver = Solver()
         # (x * 4) == 2 is impossible: multiples of 4 are never 2
-        solver.add(mk_eq(mk_shl(x, bv(2)), bv(2)))
-        assert solver.check() == CheckResult.UNSAT
-        assert solver.stats.by_sat == 0
+        assert solver.check([mk_eq(mk_shl(x, bv(2)), bv(2))]) \
+            == CheckResult.UNSAT
+        assert solver.stats.by_simplifier == 1
+        assert solver.stats.sat_instances == 0
 
     def test_layers_can_be_disabled(self):
         x = mk_bv_var("x")
-        solver = Solver(use_simplifier=False, use_interval=False)
-        solver.add(mk_ult(x, bv(8)), mk_eq(x, bv(100)))
-        assert solver.check() == CheckResult.UNSAT
-        assert solver.stats.by_sat == 1
-
-    def test_push_pop_scopes(self):
-        x = mk_bv_var("x")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(10)))
-        mark = solver.push_scope()
-        solver.add(mk_eq(x, bv(100)))
-        assert solver.check() == CheckResult.UNSAT
-        solver.pop_scope(mark)
-        assert solver.check() == CheckResult.SAT
+        solver = Solver([mk_ult(x, bv(8))], use_simplifier=False,
+                        use_interval=False)
+        assert solver.check([mk_eq(x, bv(100))]) == CheckResult.UNSAT
+        assert solver.stats.by_session == 1
 
     def test_extra_assumptions_not_persistent(self):
         x = mk_bv_var("x")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(10)))
-        assert solver.check(mk_eq(x, bv(100))) == CheckResult.UNSAT
+        solver = Solver([mk_ult(x, bv(10))])
+        assert solver.check([mk_eq(x, bv(100))]) == CheckResult.UNSAT
         assert solver.check() == CheckResult.SAT
 
     def test_model_validates_against_evaluator(self):
@@ -180,80 +179,48 @@ class TestSolverLayers:
         assert model is not None
         assert evaluate(formula, dict(model.values)) is True
 
-    def test_reuse_answers_goal_an_earlier_model_satisfies(self):
-        x, y = mk_bv_var("x"), mk_bv_var("y")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(10)))
-        assert solver.check(mk_eq(x, bv(3)), mk_eq(y, bv(7))) \
-            == CheckResult.SAT
-        assert solver.stats.by_sat == 1
-        goal = mk_ult(x, bv(5))
-        assert solver.check(goal) == CheckResult.SAT
-        assert solver.stats.by_sat == 1
-        assert solver.stats.by_reuse == 1
-        model = solver.model()
-        # restricted to the goal's variables: y came from the old model
-        assert set(model.values) == {"x"}
-        assert evaluate(mk_and(mk_ult(x, bv(10)), goal),
-                        dict(model.values)) is True
-
     def test_goal_every_model_falsifies_reaches_sat_core(self):
         x = mk_bv_var("x")
-        solver = Solver()
-        solver.add(mk_ult(x, bv(10)))
-        for value in range(3):
-            assert solver.check(mk_eq(x, bv(value))) == CheckResult.SAT
-        assert solver.stats.by_sat == 3
-        assert solver.check(mk_eq(x, bv(7))) == CheckResult.SAT
-        assert solver.stats.by_sat == 4
-        assert solver.stats.by_reuse == 0
-        assert solver.model()["x"] == 7
+        solver = Solver([mk_ult(x, bv(10))], use_interval=False)
+        for value in (0, 1, 2, 7):
+            assert solver.check([mk_eq(x, bv(value))]) == CheckResult.SAT
+            assert solver.model()["x"] == value
+        # every query reached the SAT layer, on one live instance
+        assert solver.stats.by_session == 4
+        assert solver.stats.sat_instances == 1
 
-    def test_uninterpreted_goal_never_reused(self):
-        x = mk_bv_var("x")
-        goal = mk_eq(mk_uf("f", (x,), 32), bv(5))
-        solver = Solver()
-        assert solver.check(goal) == CheckResult.SAT
-        assert solver.check(goal) == CheckResult.SAT
-        assert solver.stats.by_reuse == 0
-        assert solver.stats.by_sat == 2
-
-    def test_reuse_never_answers_unsat(self):
+    def test_sat_layer_answers_unsat_search_requires(self):
         x = mk_bv_var("x", 8)
         solver = Solver()
-        assert solver.check(mk_eq(x, mk_bv(2, 8))) == CheckResult.SAT
+        assert solver.check([mk_eq(x, mk_bv(2, 8))]) == CheckResult.SAT
         # squares are 0 or 1 mod 4; neither the simplifier nor the
         # interval layer sees it, so only the SAT core can say UNSAT
-        assert solver.check(mk_eq(mk_mul(x, x), mk_bv(2, 8))) \
+        assert solver.check([mk_eq(mk_mul(x, x), mk_bv(2, 8))]) \
             == CheckResult.UNSAT
-        assert solver.stats.by_reuse == 0
-        assert solver.stats.by_sat == 2
+        assert solver.stats.by_session == 2
 
-    def test_history_is_bounded(self):
-        x = mk_bv_var("x")
-        solver = Solver()
-        for value in range(MODEL_HISTORY + 1):
-            solver.check(mk_eq(x, bv(value)))
-        assert solver.check(mk_eq(x, bv(1))) == CheckResult.SAT
-        assert solver.stats.by_reuse == 1
-        # the oldest model (x=0) has been evicted
-        assert solver.check(mk_eq(x, bv(0))) == CheckResult.SAT
-        assert solver.stats.by_reuse == 1
+    def test_model_restricted_to_query_variables(self):
+        x, y = mk_bv_var("x"), mk_bv_var("y")
+        solver = Solver([mk_ult(x, bv(10))], use_interval=False)
+        assert solver.check([mk_eq(y, bv(7))]) == CheckResult.SAT
+        assert solver.check([mk_eq(x, bv(3))]) == CheckResult.SAT
+        # y is known to the live instance, but not part of this query
+        assert set(solver.model().values) == {"x"}
 
     @given(st.lists(st.lists(bool_terms(), min_size=1, max_size=2),
                     min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_reuse_agrees_with_fresh_solver(self, goals):
+        # one solver answering a sequence of goals (one live SAT
+        # instance, learned clauses retained) agrees with a fresh
+        # solver per goal that shares no template cache with it
         reusing = Solver()
         for conjuncts in goals:
-            fresh = Solver()
-            before = reusing.stats.by_reuse
-            expected = fresh.check(*conjuncts)
-            got = reusing.check(*conjuncts)
+            expected = Solver(templates=None).check(conjuncts)
+            got = reusing.check(conjuncts)
             assert got == expected
             if got == CheckResult.SAT:
                 assignment = {"a": 0, "b": 0, **reusing.model().values}
                 assert evaluate(mk_and(*conjuncts), assignment) is True
-            else:
-                assert reusing.stats.by_reuse == before
         assert reusing.stats.answered() == reusing.stats.queries
+        assert reusing.stats.sat_instances <= 1

@@ -234,19 +234,20 @@ class TestUninterpreted:
     def test_uf_is_free_for_the_solver(self):
         """A UF application can take any value: f(x) == 12345 is SAT."""
         from repro.smt.terms import mk_uf
-        from repro.smt import is_sat, mk_eq
+        from repro.smt import CheckResult, Solver, mk_eq
         x = mk_bv_var("x", 32)
         f_x = mk_uf("f", (x,), 32)
-        assert is_sat(mk_eq(f_x, mk_bv(12345, 32)))
+        assert Solver().check([mk_eq(f_x, mk_bv(12345, 32))]) \
+            == CheckResult.SAT
 
     def test_uf_consistency_within_one_query(self):
         """The same node cannot take two values at once."""
         from repro.smt.terms import mk_uf
-        from repro.smt import is_sat, mk_and, mk_eq, mk_ne
+        from repro.smt import CheckResult, Solver, mk_and, mk_eq
         x = mk_bv_var("x", 32)
         f_x = mk_uf("f", (x,), 32)
-        assert not is_sat(mk_and(mk_eq(f_x, mk_bv(1, 32)),
-                                 mk_eq(f_x, mk_bv(2, 32))))
+        both = mk_and(mk_eq(f_x, mk_bv(1, 32)), mk_eq(f_x, mk_bv(2, 32)))
+        assert Solver().check([both]) == CheckResult.UNSAT
 
     def test_evaluation_raises(self):
         from repro.smt.terms import mk_uf

@@ -1,14 +1,18 @@
-"""Model reuse must not change what the executor explores.
+"""Reusing one solver for a run must not change what the executor explores.
 
-The feasibility solver answers a branch refinement from an earlier
-satisfying model when one fits (``Solver`` model reuse). Reuse only
-ever answers SAT, with a model the evaluator confirmed, so every flow,
-split and access set must be the same as with an empty model history.
-Each kernel runs twice in both executor modes: as shipped, and with
-``MODEL_HISTORY`` patched to 0 and the range-chain layer switched off,
-so every check the simplifier and the interval layer leave open reaches
-the SAT core.
+The executor answers every branch-feasibility check on one
+:class:`~repro.smt.Solver` per run: its SAT layer blasts the preamble
+once and keeps one incremental instance (and its learned clauses) for
+all checks, and the range-chain layer decides loop-exit tests before
+they reach it. Neither may change a verdict, so every flow, split and
+access set must be the same as on a cold run. Each kernel runs twice in
+both executor modes: as shipped, and with the range-chain layer
+switched off, the SAT instance rebuilt after every query and no learned
+clauses carried across a rebuild, so every check the simplifier and the
+interval layer leave open reaches a fresh SAT instance over the preamble
+snapshot.
 """
+import functools
 import itertools
 
 import pytest
@@ -16,8 +20,10 @@ import pytest
 from repro.core import SESA
 from repro.kernels import ALL_KERNELS
 from repro.kernels.divergent import DIVERGENT_KERNELS
+from repro.smt import Solver
+from repro.smt import session as session_mod
 from repro.smt import solver as solver_mod
-from repro.sym import access, memory, state
+from repro.sym import access, executor, memory, state
 from repro.sym.executor import Executor
 from repro.sym.races import RaceChecker
 
@@ -30,10 +36,6 @@ HISTO_OVERRIDES = dict(
     array_sizes={"global_histo": HISTO_N // 8,
                  "global_subhisto": HISTO_N // 4,
                  "final_histo": HISTO_N // 4})
-#: SAT-core calls reduced histo_final may make with reuse on: the first
-#: feasible refinement; every later one is answered by its predecessor's
-#: model (with the history emptied it is one per loop test)
-HISTO_MAX_SAT = 2
 #: flow budget for split (gkleep) execution: budget exhaustion is
 #: counted in flows, so a truncated run is still deterministic
 GKLEEP_FLOWS = 16
@@ -80,9 +82,11 @@ def _dispatched_once(stats):
 def test_reuse_keeps_exploration_identical(name, kernel, overrides, mode,
                                            monkeypatch):
     shipped = _execute(kernel, overrides, mode, monkeypatch)
-    monkeypatch.setattr(solver_mod, "MODEL_HISTORY", 0)
     monkeypatch.setattr(solver_mod, "decide_chain",
                         lambda chain, analysis: None)
+    monkeypatch.setattr(executor, "Solver",
+                        functools.partial(Solver, max_live_queries=1))
+    monkeypatch.setattr(session_mod, "_MAX_RETAINED", 0)
     cold = _execute(kernel, overrides, mode, monkeypatch)
 
     assert shipped.max_flows == cold.max_flows
@@ -94,13 +98,17 @@ def test_reuse_keeps_exploration_identical(name, kernel, overrides, mode,
 
     feas, cold_feas = shipped.feasibility, cold.feasibility
     assert feas.queries == cold_feas.queries
-    assert cold_feas.by_reuse == cold_feas.by_range == 0
-    # reuse and the range layer only take over checks that would
-    # otherwise reach the SAT core
-    assert feas.by_sat + feas.by_reuse + feas.by_range == cold_feas.by_sat
+    assert cold_feas.by_range == 0
+    # one SAT instance per cold SAT query
+    assert cold_feas.sat_instances == cold_feas.by_session
+    # the range layer only takes over checks that would otherwise reach
+    # the SAT core
+    assert feas.by_session + feas.by_range == cold_feas.by_session
+    assert feas.sat_instances <= 1
     checker_feas = RaceChecker(shipped).stats.feasibility
     assert checker_feas == feas
     assert _dispatched_once(feas) and _dispatched_once(checker_feas)
     if name == "histo_final":
-        assert feas.by_reuse > 0
-        assert feas.by_sat <= HISTO_MAX_SAT < cold_feas.by_sat
+        # the interval and range layers decide every loop-exit test
+        assert feas.sat_instances == feas.by_session == 0
+        assert cold_feas.by_session > 0

@@ -142,14 +142,14 @@ def test_validate_partition_catches_gap_and_overlap():
 
 def test_merge_check_stats_sums_nested_feasibility():
     shards = []
-    for reuse, sat in ((5, 1), (3, 2)):
+    for ranged, sat in ((5, 1), (3, 2)):
         cs = CheckStats(queries=4)
-        cs.feasibility = SolverStats(queries=reuse + sat,
-                                     by_reuse=reuse, by_sat=sat)
+        cs.feasibility = SolverStats(queries=ranged + sat,
+                                     by_range=ranged, by_session=sat)
         shards.append(asdict(cs))
     merged = merge_check_stats(shards + [None])
     assert merged["queries"] == 8
-    assert merged["feasibility"]["by_reuse"] == 8
-    assert merged["feasibility"]["by_sat"] == 3
+    assert merged["feasibility"]["by_range"] == 8
+    assert merged["feasibility"]["by_session"] == 3
     assert merged["feasibility"]["queries"] == 11
     assert merged["solver"] == asdict(SolverStats())
