@@ -4,10 +4,11 @@ The paper's bars: ~1x with concrete inputs for most BFS variants (both
 engines explore the same few flows), and 1-3 orders of magnitude with
 symbolic inputs (GKLEEp times out; e.g. >3,000x on bfs_ls). Here the
 timed-out comparator contributes a *lower bound* (printed as ``>Nx``).
+Each finished run is timed as the median of ``SPEEDUP_ROUNDS`` runs.
 """
 import pytest
 
-from common import print_table, run_gkleep, run_sesa, speedup
+from common import median_run, print_table, run_gkleep, run_sesa, speedup
 from repro.kernels import ALL_KERNELS
 
 KERNELS = ["bfs_ls", "bfs_atomic", "bfs_worklistw", "bfs_worklista",
@@ -26,8 +27,10 @@ def test_speedup_pair(benchmark, name, mode):
     conc = mode == "conc"
 
     def pair():
-        g = run_gkleep(kernel, concrete_inputs=conc, **_dims(name))
-        s = run_sesa(kernel, concrete_inputs=conc, **_dims(name))
+        g = median_run(lambda: run_gkleep(kernel, concrete_inputs=conc,
+                                          **_dims(name)))
+        s = median_run(lambda: run_sesa(kernel, concrete_inputs=conc,
+                                        **_dims(name)))
         return g, s
 
     g, s = benchmark.pedantic(pair, rounds=1, iterations=1)

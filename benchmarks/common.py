@@ -15,9 +15,10 @@ are printed as ``T.O.`` exactly like the paper.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import GKLEEp, SESA, AnalysisReport
 from repro.kernels import ALL_KERNELS, Kernel
@@ -28,6 +29,9 @@ GKLEEP_FLOW_BUDGET = 96
 GKLEEP_STEP_BUDGET = 400_000
 GKLEEP_TIME_BUDGET = 15.0      # seconds: the comparator's "T.O." line
 SESA_TIME_BUDGET = 150.0
+#: timed runs per engine behind one Fig. 6/7 speedup: one ~20 ms run
+#: swings the ratio by 2x between passes
+SPEEDUP_ROUNDS = 5
 
 
 @dataclass
@@ -108,6 +112,19 @@ def run_gkleep(kernel: Kernel, grid=None, block=None,
         symbolic_inputs=0 if concrete_inputs else n_inputs,
         total_inputs=n_inputs,
         resolvable=report.resolvable)
+
+
+def median_run(run: Callable[[], RunResult]) -> RunResult:
+    """``run()``'s result, timed as the median of ``SPEEDUP_ROUNDS``
+    runs. A timed-out run is a lower bound on the time, so it is not
+    repeated."""
+    result = run()
+    if result.timed_out:
+        return result
+    times = [result.seconds] + [run().seconds
+                                for _ in range(SPEEDUP_ROUNDS - 1)]
+    result.seconds = statistics.median(times)
+    return result
 
 
 def run_suite(kernels: Sequence[Kernel], engine: str = "sesa",

@@ -25,10 +25,10 @@ _code_digest_lock = _threading.Lock()
 def code_digest() -> str:
     """A SHA-256 digest of every ``.py`` file in this package.
 
-    Result-cache keys, stream fingerprints and solver artifacts mix
-    this in rather than ``__version__``, which does not change when the
-    analysis code does: an entry written by other checker code is then
-    a miss, never a stale verdict. Computed lazily, once per process.
+    Result-cache keys and stream fingerprints mix this in rather than
+    ``__version__``, which does not change when the analysis code
+    does: an entry written by other checker code is then a miss, never
+    a stale verdict. Computed lazily, once per process.
     """
     global _code_digest
     if _code_digest is None:

@@ -112,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split the race check into N shard jobs "
                             "run in parallel worker processes and "
                             "merge their verdicts (sesa only)")
-    check.add_argument("--solver-cache", default=None, metavar="DIR",
-                       help="warm-start solver artifact cache: adopt "
-                            "persisted CNF snapshots / learned clauses "
-                            "/ verdict memos from DIR and refresh them "
-                            "after the run (a pure accelerator — never "
-                            "changes a verdict)")
     check.add_argument("--profile", action="store_true",
                        help="append a per-phase wall-clock and solver "
                             "dispatch breakdown to the report")
@@ -130,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     launch_options(prof)
     prof.add_argument("--engine", choices=["sesa", "gkleep", "gklee"],
                       default="sesa")
-    prof.add_argument("--solver-cache", default=None, metavar="DIR",
-                      help="profile with a warm-start artifact cache")
     prof.add_argument("--top", type=int, default=10, metavar="N",
                       help="also list the N most expensive functions "
                            "(default 10)")
@@ -298,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     client_common(queue_cmd)
 
     cache_cmd = sub.add_parser(
-        "cache", help="inspect or prune the result cache (verdicts "
-                      "and solver artifacts)")
+        "cache", help="inspect or prune the result cache")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command",
                                          required=True)
     cstats = cache_sub.add_parser(
@@ -340,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--time-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole program")
-    stream.add_argument("--solver-cache", default=None, metavar="DIR",
-                        help="warm-start solver artifact cache "
-                             "(a pure accelerator)")
     stream.add_argument("--trace", default=None, metavar="PATH",
                         help="append JSONL telemetry events "
                              "(stream_planned / launch_finished / "
@@ -379,8 +367,7 @@ def _config_from(args) -> LaunchConfig:
         else None,
         scalar_values=_parse_kv(args.set, "--set"),
         array_sizes=_parse_kv(args.array_size, "--array-size"),
-        time_budget_seconds=args.time_budget,
-        solver_cache_dir=getattr(args, "solver_cache", None))
+        time_budget_seconds=args.time_budget)
 
 
 def _render_swarm_result(result) -> None:
@@ -490,9 +477,6 @@ def _phase_breakdown(cs) -> dict:
             "by_session": cs.solver.by_session,
             "sat_instances": cs.solver.sat_instances,
             "sat_conflicts": cs.solver.sat_conflicts,
-            "warm_starts": cs.warm_starts,
-            "warm_memo_hits": cs.warm_memo_hits,
-            "warm_pair_hits": cs.warm_pair_hits,
         },
     }
 
@@ -530,11 +514,6 @@ def _print_phase_breakdown(cs) -> None:
           f"range {disp['by_range']}, "
           f"sat {disp['by_session']} on {disp['sat_instances']} "
           f"instances; {disp['sat_conflicts']} conflicts)")
-    if disp["warm_starts"] or disp["warm_memo_hits"] \
-            or disp["warm_pair_hits"]:
-        print(f"warm start: {disp['warm_starts']} sessions adopted, "
-              f"{disp['warm_memo_hits']} memo replays, "
-              f"{disp['warm_pair_hits']} pair replays")
 
 
 #: pipeline layer of a profiled function, from its source path — the
@@ -1019,8 +998,8 @@ def cmd_queue(args) -> int:
 
 def cmd_cache(args) -> int:
     """The ``cache`` subcommand: stats and pruning for the one store a
-    long-running daemon shares with batch runs — verdicts, stream
-    entries and solver warm-start artifacts in one walk."""
+    long-running daemon shares with batch runs — verdicts and stream
+    entries in one walk."""
     from .service import ResultCache, trace_hit_rate
     if not os.path.isdir(args.cache_dir):
         print(f"repro: no cache at {args.cache_dir!r}",
@@ -1092,8 +1071,7 @@ def cmd_stream(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     checker = StreamChecker(
         program, cache=cache, telemetry=telemetry,
-        config=LaunchConfig(time_budget_seconds=args.time_budget,
-                            solver_cache_dir=args.solver_cache))
+        config=LaunchConfig(time_budget_seconds=args.time_budget))
     report = checker.check()
     if telemetry is not None:
         telemetry.close()

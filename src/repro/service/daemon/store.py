@@ -72,6 +72,9 @@ class JobRow:
     lease_deadline: Optional[float] = None
     result: Optional[dict] = None
     error: Optional[str] = None
+    #: why the stored spec is unusable (a damaged row: not JSON, or
+    #: not a JSON object; :attr:`spec` is then empty), else ``None``
+    spec_error: Optional[str] = None
 
     @property
     def terminal(self) -> bool:
@@ -96,6 +99,19 @@ class JobRow:
                     round((self.lease_deadline or now) - now, 3),
             }
         return out
+
+
+def _decode_spec(text) -> Tuple[dict, Optional[str]]:
+    """A stored spec, plus the ``invalid job spec`` error a damaged one
+    fails its job with (``None`` when the spec is a JSON object)."""
+    try:
+        spec = json.loads(text)
+    except (TypeError, ValueError):
+        return {}, "invalid job spec: not JSON"
+    if not isinstance(spec, dict):
+        return {}, (f"invalid job spec: expected an object, got "
+                    f"{type(spec).__name__}")
+    return spec, None
 
 
 class JobStore:
@@ -152,9 +168,10 @@ class JobStore:
 
     @staticmethod
     def _row_to_job(row: sqlite3.Row) -> JobRow:
+        spec, spec_error = _decode_spec(row["spec"])
         return JobRow(
             job_id=row["job_id"], fingerprint=row["fingerprint"],
-            spec=json.loads(row["spec"]), state=row["state"],
+            spec=spec, spec_error=spec_error, state=row["state"],
             attempts=row["attempts"], max_attempts=row["max_attempts"],
             submitted_at=row["submitted_at"],
             updated_at=row["updated_at"],

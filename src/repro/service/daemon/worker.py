@@ -127,11 +127,18 @@ class WorkerDaemon:
                             worker=self.worker_id,
                             attempt=job.attempts,
                             lease_ttl=self.lease_ttl)
+        if job.spec_error is not None:
+            # a damaged row fails its job; the worker keeps claiming
+            self._record(job, JobResult.failure(
+                job.spec_error, job_id=job.job_id,
+                attempts=job.attempts), JobState.FAILED)
+            return True
         spec_dict = job.spec
         if self.cache is not None \
                 and spec_dict.get("solver_cache_dir") is None:
-            # share the daemon's cache tree for solver warm-start
-            # artifacts (a pure accelerator: not in the fingerprint)
+            # a stream job caches its per-launch verdicts in the
+            # daemon's cache tree (a pure accelerator: not in the
+            # fingerprint)
             spec_dict = dict(spec_dict,
                              solver_cache_dir=self.cache.cache_dir)
 

@@ -234,8 +234,8 @@ def run_batch(specs: Sequence[JobSpec], *,
         for spec in specs:
             spec.engine = engine
     if cache_dir:
-        # solver warm-start artifacts share the verdict cache's store;
-        # explicit per-spec dirs win (and None stays None when the
+        # a stream job's per-launch verdicts share the verdict cache's
+        # store; explicit per-spec dirs win (and None stays None when the
         # batch has no cache at all)
         for spec in specs:
             if spec.config.solver_cache_dir is None:

@@ -25,7 +25,6 @@ from .affine import (
 from .bitblast import TemplateCache
 from .solver import CheckResult, Model, QueryMemo, Solver, SolverStats
 from .session import SolverSession
-from .persist import canonical_term, preamble_fingerprint
 
 __all__ = [
     "BOOL", "BV1", "BV8", "BV16", "BV32", "BV64", "BoolSort", "BVSort",
@@ -44,5 +43,4 @@ __all__ = [
     "injective_on_box", "stride_separated",
     "CheckResult", "Model", "QueryMemo", "Solver", "SolverStats",
     "SolverSession", "TemplateCache",
-    "canonical_term", "preamble_fingerprint",
 ]

@@ -28,10 +28,7 @@ drops the SAT instance. Rotation is cheap: the preamble CNF is
 snapshot (no re-lowering) and re-imports the short preamble-only
 learned clauses harvested at retirement in ONE batched ``add_clauses``
 call — they are resolvents of preamble clauses and total Tseitin
-definitions, so they stay valid for the restored instance. The same snapshot + learnts
-bundle is what :mod:`repro.smt.persist` serialises for cross-run warm
-starts (:meth:`SolverSession.export_state` /
-:meth:`SolverSession.adopt_state`).
+definitions, so they stay valid for the restored instance.
 """
 from __future__ import annotations
 
@@ -47,9 +44,9 @@ if TYPE_CHECKING:
     from .solver import SolverStats
 
 
-#: retention policy for learned clauses carried across rotations and
-#: persisted for warm starts: short clauses only (long ones rarely pay
-#: for their propagation cost), bounded total
+#: retention policy for learned clauses carried across rotations:
+#: short clauses only (long ones rarely pay for their propagation
+#: cost), bounded total
 _MAX_RETAINED_LEN = 24
 _MAX_RETAINED = 4096
 #: a live instance with this many clauses (learned ones included)
@@ -85,9 +82,8 @@ class SolverSession:
         self._live_queries = 0
         self._templates = templates
 
-        #: preamble CNF snapshot taken after the first blast (or adopted
-        #: from a persisted artifact); rotation restores it instead of
-        #: re-lowering the preamble
+        #: preamble CNF snapshot taken after the first blast; rotation
+        #: restores it instead of re-lowering the preamble
         self._snapshot: Optional[dict] = None
         #: preamble-only learned clauses retained across rotations
         #: (external signed literals, all vars <= snapshot num_vars)
@@ -250,33 +246,3 @@ class SolverSession:
             fresh.sort(key=len)
             room = _MAX_RETAINED - len(self._retained)
             self._retained.extend(fresh[:max(0, room)])
-
-    # ------------------------------------------------------------------
-    # warm-start state (see repro.smt.persist)
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> Optional[dict]:
-        """The preamble CNF snapshot + retained learnts, or ``None`` if
-        this session never reached the SAT layer."""
-        if self._sat is not None:
-            self._harvest_learnts()
-        if self._snapshot is None:
-            return None
-        return {"snapshot": self._snapshot, "learnts": self._retained}
-
-    def adopt_state(self, state: dict) -> bool:
-        """Warm-start from a previously exported state.
-
-        Only valid before the first SAT query (the caller matches the
-        preamble by canonical fingerprint; see
-        :func:`repro.smt.persist.preamble_fingerprint`). Returns False
-        if the session already has live state.
-        """
-        if self._snapshot is not None or self._sat is not None:
-            return False
-        snap = state["snapshot"]
-        self._snapshot = snap
-        learnts = [list(c) for c in state.get("learnts", ())]
-        self._retained = learnts[:_MAX_RETAINED]
-        self._retained_keys = {frozenset(c) for c in self._retained}
-        return True

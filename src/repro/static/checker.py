@@ -174,11 +174,6 @@ class StaticAdjudicator:
     hand it to the checker's own solver step (``_solve_pair`` /
     ``_solve_oob``) when it leaves the decidable fragment. The time
     spent enumerating is ``stats.static_seconds``.
-
-    The solver-artifact store only accelerates solving, so it stays off
-    while enumeration decides: a fully enumerated record pays no
-    persistence cost and writes nothing. The first fallback turns it
-    on, and from there the record persists like a solver-only check.
     """
 
     def __init__(self, checker: RaceChecker) -> None:
@@ -186,7 +181,6 @@ class StaticAdjudicator:
         #: the first :class:`StaticUnknown` reason of a pair or access
         #: that fell back to the solver (``None``: none did)
         self.fallback_reason: Optional[str] = None
-        self._store, checker._store = checker._store, None
         self._extents: Dict[str, int] = checker._side1.extents
         self._box_cache: Dict[tuple, tuple] = {}
         self._col_cache: Dict[tuple, Dict[str, list]] = {}
@@ -228,7 +222,6 @@ class StaticAdjudicator:
         except StaticUnknown as exc:
             if self.fallback_reason is None:
                 self.fallback_reason = exc.reason
-                self.checker._store = self._store
             return _UNKNOWN
         finally:
             stats.static_seconds += time.perf_counter() - start

@@ -1,11 +1,10 @@
 """The one on-disk store: content-keyed JSON entries in one directory.
 
 Every record the tool keeps across runs is one entry here: job and
-swarm verdicts, stream launch and launch-pair verdicts, and solver
-warm-start artifacts. Every key comes from the one :func:`content_key`,
-which hashes the record's kind, its material and
-:func:`repro.code_digest`, so an entry written by other analysis code
-is a plain miss, never a stale answer.
+swarm verdicts, and stream launch and launch-pair verdicts. Every key
+comes from the one :func:`content_key`, which hashes the record's
+kind, its material and :func:`repro.code_digest`, so an entry written
+by other analysis code is a plain miss, never a stale answer.
 
 Entries are one JSON file each under ``cache_dir/ab/abcdef....json``
 (two-level fan-out keeps directories small on big corpora), written by
@@ -14,10 +13,6 @@ lookup`, the one read path: it tells a plain miss (no entry) from a
 damaged entry (unreadable, not a JSON object, or rejected by the
 check), and names what is wrong with the latter. ``repro cache stats``
 and ``repro cache prune`` walk every entry, whatever its kind.
-
-This module sits below :mod:`repro.sym` and :mod:`repro.service`, so
-the race checker and the batch service open the same store without
-importing each other.
 """
 from __future__ import annotations
 

@@ -11,12 +11,12 @@ launches' thread spaces, each drawn from its *own* launch configuration
 Per launch, the existing :meth:`SESA.check` pipeline runs unchanged,
 under the stream's one base :class:`~repro.sym.LaunchConfig` with the
 launch's own geometry, scalars and buffer sizes — static tier, pruning,
-warp policy, budgets and warm start all apply —
-producing the per-launch verdict *and* the global-memory access record
-the cross-launch pass consumes. Each launch's accesses are then keyed
-by the *program buffer* its pointer parameters are bound to, and every
-HB-unordered launch pair is checked buffer by buffer through the pair
-steps the intra-launch checker uses (:mod:`repro.sym.pairs`), with one
+warp policy and budgets all apply — producing the per-launch verdict
+*and* the global-memory access record the cross-launch pass consumes.
+Each launch's accesses are then keyed by the *program buffer* its
+pointer parameters are bound to, and every HB-unordered launch pair is
+checked buffer by buffer through the pair steps the intra-launch
+checker uses (:mod:`repro.sym.pairs`), with one
 :class:`~repro.sym.pairs.PairSide` per launch:
 
 * each side is instantiated with its launch's suffix (``tid.x`` →

@@ -125,13 +125,11 @@ class LaunchConfig:
     #: :data:`DEFAULT_CONFLICT_BUDGET`; any other value also keeps the
     #: solver-less static tier out of the way.
     solver_conflict_budget: Optional[int] = None
-    #: the :class:`repro.store.ResultCache` directory for solver
-    #: warm-start artifacts (preamble CNF snapshots, learned clauses,
-    #: memoized verdicts — see :mod:`repro.smt.persist`) and for a
-    #: stream job's launch and launch-pair verdicts. ``None`` disables
-    #: persistence. This is a pure accelerator: it is deliberately NOT
-    #: part of any cache fingerprint, because it must never change a
-    #: verdict.
+    #: the :class:`repro.store.ResultCache` directory for a stream
+    #: job's launch and launch-pair verdicts (the wire name predates
+    #: that use). ``None``: a stream job replays nothing. This is a
+    #: pure accelerator: it is deliberately NOT part of any cache
+    #: fingerprint, because it must never change a verdict.
     solver_cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -27,7 +27,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..smt import (
-    CheckResult, Model, QueryMemo, Solver, SolverSession, Substitution,
+    CheckResult, Model, QueryMemo, Solver, Substitution,
     TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
 )
 from ..smt.affine import AffineForm, affine_decompose, stride_separated
@@ -247,23 +247,17 @@ class PairDischarge:
             return Model(dict(values)) if result == CheckResult.SAT else None
 
         solver = self._solver_for(preamble, pkey)
-        replay = self._replay_persisted(preamble, goal, pkey, canon, key)
-        if replay is not _MISS:
-            return replay
         before = solver.stats.copy()
         outcome = solver.check([canon] if canon is not TRUE else [])
         self.stats.solver.merge(solver.stats.delta_since(before))
         if outcome == CheckResult.SAT:
             model = solver.model()
             self._memo.put(key, outcome, dict(model.values))
-            self._record_persisted(pkey, canon, outcome,
-                                   dict(model.values))
             return model
         if outcome == CheckResult.UNKNOWN:
             self.timed_out = True
             return None
         self._memo.put(key, outcome)
-        self._record_persisted(pkey, canon, outcome, None)
         return None
 
     def _solver_for(self, preamble: Sequence[Term],
@@ -278,29 +272,10 @@ class PairDischarge:
                             deadline=self._deadline)
             self._sessions[pkey] = solver
             self.stats.sessions_created += 1
-            self._warm_session(preamble, pkey, solver.session)
         else:
             self.stats.preamble_reuse += 1
             solver.session.deadline = self._deadline
         return solver
-
-    # cross-run persistence hooks (no-ops unless a client persists)
-
-    def _warm_session(self, preamble: Sequence[Term],
-                      pkey: Tuple[int, ...],
-                      session: SolverSession) -> None:
-        """A new session for *preamble* was just created."""
-
-    def _replay_persisted(self, preamble: Sequence[Term],
-                          goal: Sequence[Term], pkey: Tuple[int, ...],
-                          canon: Term, key: tuple):
-        """A verdict recorded by an earlier run, or ``_MISS``."""
-        return _MISS
-
-    def _record_persisted(self, pkey: Tuple[int, ...], canon: Term,
-                          verdict: str,
-                          values: Optional[Dict[str, int]]) -> None:
-        """A verdict this run decided on the SAT layer."""
 
     # -- classification --------------------------------------------------
 

@@ -17,22 +17,14 @@ tables mark them "W/W (Benign)".
 """
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..smt.persist import (
-    artifact_problem, canonical_term, make_artifact, preamble_fingerprint,
-)
-from ..smt.subst import EvaluationError, evaluate
-from ..store import ResultCache, content_key
-
 from .. import ir
 from ..smt import (
-    CheckResult, FALSE, Model, QueryMemo, Solver, SolverSession,
-    SolverStats, TRUE, Term, mk_and, mk_bv, mk_eq, mk_not, mk_udiv, mk_ule,
-    simplify,
+    FALSE, Model, QueryMemo, Solver, SolverStats, TRUE, Term, mk_and,
+    mk_bv, mk_eq, mk_not, mk_udiv, mk_ule, simplify,
 )
 from ..smt.affine import affine_decompose, equality_forces_equal_components
 from ..smt.interval import Interval
@@ -149,10 +141,6 @@ class CheckStats:
     bucketed_out: int = 0         # pairs pruned by address disjointness
     pair_memo_hits: int = 0       # isomorphic pairs replayed, not solved
     oob_pruned: int = 0           # OOB queries skipped: provably in-bounds
-    # -- cross-run warm start (repro.smt.persist) ----------------------
-    warm_starts: int = 0          # sessions adopted from a disk artifact
-    warm_memo_hits: int = 0       # queries replayed from a disk memo
-    warm_pair_hits: int = 0       # pairs replayed from a disk artifact
     # -- tiered checking (repro.static) --------------------------------
     tier: str = "parametric"      # which tier produced this verdict
     static_resolved: int = 0      # 1 when every pair was enumerated
@@ -181,8 +169,7 @@ class RaceChecker(PairDischarge):
     The two sides are two threads of the one launch (``!1`` / ``!2``)
     sharing one interval analysis. On top of the shared pair steps this
     client owns the intra-launch rules: the different-thread preamble,
-    the affine fast path, the warp-aware split, cross-run persistence
-    and the shard ordinals.
+    the affine fast path, the warp-aware split and the shard ordinals.
     """
 
     def __init__(self, result: ExecutionResult,
@@ -223,29 +210,6 @@ class RaceChecker(PairDischarge):
         self._side2 = PairSide(result, "!2", shared=self._side1)
         self._summary_bounds = self._side1.summary_bounds
         self._div_cache: Dict[int, bool] = {}
-        # cross-run warm start: solver artifacts are entries of the one
-        # content-keyed store in the configured cache dir (None: no
-        # persistence, the default); an unusable dir only cold-starts
-        self._store: Optional[ResultCache] = None
-        cache_dir = self.config.solver_cache_dir
-        if cache_dir:
-            try:
-                self._store = ResultCache(cache_dir)
-            except OSError as exc:
-                self._warn(f"solver artifact store {cache_dir!r} "
-                           f"unusable ({exc}); cold-starting")
-        #: preamble -> the content key of its artifact
-        self._artifact_keys: Dict[Tuple[int, ...], str] = {}
-        self._warm_artifact: Dict[Tuple[int, ...], dict] = {}
-        self._persist_memo: Dict[Tuple[int, ...],
-                                 Dict[str, Tuple[str, Optional[dict]]]] = {}
-        #: pair-level verdicts from the artifact: digest -> None (no
-        #: race) | [witness values, benign] — plus anything this run adds
-        self._persist_pairs: Dict[Tuple[int, ...],
-                                  Dict[str, Optional[list]]] = {}
-        #: preambles whose artifact gained something this run — a fully
-        #: replayed session skips the (JSON-heavy) re-save entirely
-        self._persist_dirty: Set[Tuple[int, ...]] = set()
         # the canonical pair memo and the per-run affine verdicts
         self._pair_memo: Dict[tuple, Optional[tuple]] = {}
         self._affine_verdicts: Dict[tuple, bool] = {}
@@ -358,7 +322,6 @@ class RaceChecker(PairDischarge):
         if run_aux:
             self._check_assertions()
         self.stats.solve_seconds += time.perf_counter() - t0
-        self.save_solver_artifacts()
         return self
 
     def _check_assertions(self) -> None:
@@ -623,8 +586,8 @@ class RaceChecker(PairDischarge):
                     discharge: Discharge) -> None:
         """Decide one candidate pair and emit its race, if any.
 
-        *discharge* decides a pair that the pair memo, cross-run replay
-        and affine fast path left open."""
+        *discharge* decides a pair that the pair memo and the affine
+        fast path left open."""
         self.stats.pairs_considered += 1
         obj = a1.obj
         memo_key = None
@@ -638,25 +601,10 @@ class RaceChecker(PairDischarge):
                     self._emit_race(a1, a2, Model(dict(values)), benign)
                 return
 
-        # cross-run pair replay: a previous run recorded this exact
-        # pair's verdict (canonical digests of every input) under the
-        # same preamble — short-circuits ahead of even the affine path
-        preamble = ppairs = pdigest = None
-        if self._store is not None and self.pruning:
-            preamble = self._race_preamble(obj)
-            pkey = self._pkey_of(preamble)
-            self._ensure_warm(preamble, pkey)
-            ppairs = self._persist_pairs.setdefault(pkey, {})
-            pdigest = self._pair_digest(a1, a2, same_bi)
-            if self._replay_pair(a1, a2, same_bi, preamble,
-                                 memo_key, ppairs.get(pdigest, _MISS)):
-                return
-
         if self._affine_no_overlap(a1, a2, obj):
             self.stats.by_affine += 1
             if memo_key is not None:
                 self._pair_memo[memo_key] = None
-            self._record_pair(preamble, ppairs, pdigest, None)
             return
         was_timed_out = self.timed_out
         verdict = discharge(a1, a2, same_bi)
@@ -665,29 +613,21 @@ class RaceChecker(PairDischarge):
         if verdict is None:
             if settled:
                 self._pair_memo[memo_key] = None
-                self._record_pair(preamble, ppairs, pdigest, None)
             return
         model, benign = verdict
         if settled:
             self._pair_memo[memo_key] = (dict(model.values), benign)
-            self._record_pair(preamble, ppairs, pdigest,
-                              [dict(model.values), benign])
         self._emit_race(a1, a2, model, benign)
-
-    def _race_goal(self, a1: Access, a2: Access,
-                   same_bi: bool) -> List[Term]:
-        goal = self._goal(self._side1, a1, self._side2, a2)
-        if not same_bi:
-            # cross-interval global pair: only unordered across blocks
-            goal.append(mk_not(self._same_block()))
-        return goal
 
     def _solve_pair(self, a1: Access, a2: Access, same_bi: bool
                     ) -> Optional[Tuple[Model, bool]]:
         """The default discharge: solve the race query, then classify
         a collision as benign or not."""
         preamble = self._race_preamble(a1.obj)
-        goal = self._race_goal(a1, a2, same_bi)
+        goal = self._goal(self._side1, a1, self._side2, a2)
+        if not same_bi:
+            # cross-interval global pair: only unordered across blocks
+            goal.append(mk_not(self._same_block()))
         if self._conj_trivially_false(preamble, goal):
             return None
         if self.config.warp_lockstep and self.config.warp_size > 1:
@@ -698,54 +638,6 @@ class RaceChecker(PairDischarge):
             return None
         return model, self._classify_benign(
             self._side1, a1, self._side2, a2, goal, preamble)
-
-    def _pair_digest(self, a1: Access, a2: Access, same_bi: bool) -> str:
-        """Cross-run-stable identity of a pair's solver problem: the
-        ordered :meth:`_pair_key` with term identities replaced by
-        canonical digests, plus the warp policy (it changes which
-        conjunctions get solved)."""
-        def cls(a: Access) -> str:
-            return "%s;%s;%s;%d;%s" % (
-                a.kind.value, canonical_term(a.offset),
-                canonical_term(a.cond), a.size,
-                canonical_term(a.value) if a.value is not None else "-")
-        material = "|".join((
-            cls(a1), cls(a2), str(int(same_bi)), str(a1.obj.space),
-            str(int(a1.instr_id == a2.instr_id)),
-            str(int(self.config.warp_lockstep)),
-            str(self.config.warp_size)))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _replay_pair(self, a1: Access, a2: Access, same_bi: bool,
-                     preamble: List[Term], memo_key, hit) -> bool:
-        """Replay a persisted pair verdict; True when handled."""
-        if hit is _MISS:
-            return False
-        if hit is None:
-            self.stats.warm_pair_hits += 1
-            if memo_key is not None:
-                self._pair_memo[memo_key] = None
-            return True
-        values, benign = dict(hit[0]), bool(hit[1])
-        # racy replay: re-derive the goal and check the stored witness
-        # actually exhibits it — a bogus artifact costs this validation,
-        # never a spurious race
-        goal = self._race_goal(a1, a2, same_bi)
-        if not self._witness_holds(preamble, goal, values):
-            return False
-        self.stats.warm_pair_hits += 1
-        if memo_key is not None:
-            self._pair_memo[memo_key] = (dict(values), benign)
-        self._emit_race(a1, a2, Model(values), benign)
-        return True
-
-    def _record_pair(self, preamble: List[Term], ppairs, pdigest,
-                     payload) -> None:
-        if pdigest is None:   # persistence off for this pair
-            return
-        if pdigest not in ppairs or ppairs[pdigest] != payload:
-            ppairs[pdigest] = payload
-            self._persist_dirty.add(self._pkey_of(preamble))
 
     @staticmethod
     def _flatten_spine(terms: Sequence[Term]
@@ -787,138 +679,6 @@ class RaceChecker(PairDischarge):
         if gfalse:
             return True
         return bool((pneg & gids) or (gneg & gids) or (gneg & pids))
-
-    # -- cross-run persisted memo --------------------------------------
-
-    def _replay_persisted(self, preamble: Sequence[Term],
-                          goal: Sequence[Term], pkey: Tuple[int, ...],
-                          canon: Term, key: tuple):
-        """A verdict recorded by a previous run for this exact
-        (preamble, goal), or ``_MISS``.
-
-        SAT replays are re-validated by evaluating the query under the
-        stored witness — a bogus artifact can cost a validation, never
-        a wrong SAT verdict. UNSAT replays rest on the fingerprint: the
-        artifact was recorded under a structurally identical preamble
-        by the same tool version.
-        """
-        pm = self._persist_memo.get(pkey)
-        if not pm:
-            return _MISS
-        entry = pm.get(canonical_term(canon))
-        if entry is None:
-            return _MISS
-        verdict, values = entry
-        if verdict == CheckResult.SAT:
-            values = dict(values or {})
-            if not self._witness_holds(preamble, goal, values):
-                return _MISS
-            self.stats.warm_memo_hits += 1
-            self._memo.put(key, verdict, values)
-            return Model(values)
-        self.stats.warm_memo_hits += 1
-        self._memo.put(key, verdict)
-        return None
-
-    @staticmethod
-    def _witness_holds(preamble: Sequence[Term], goal: Sequence[Term],
-                       values: Dict[str, int]) -> bool:
-        from ..smt import free_vars
-        for t in list(preamble) + list(goal):
-            assignment = dict(values)
-            for name in free_vars(t):
-                assignment.setdefault(name, 0)
-            try:
-                if not evaluate(t, assignment):
-                    return False
-            except EvaluationError:
-                return False
-        return True
-
-    def _record_persisted(self, pkey: Tuple[int, ...], canon: Term,
-                          verdict: str,
-                          values: Optional[Dict[str, int]]) -> None:
-        if self._store is None:
-            return
-        pm = self._persist_memo.setdefault(pkey, {})
-        pm[canonical_term(canon)] = (verdict, values)
-        self._persist_dirty.add(pkey)
-
-    def save_solver_artifacts(self) -> int:
-        """Persist every session's snapshot + memo (end of ``check``).
-
-        Returns the number of artifacts written. A session that never
-        reached the SAT layer exports nothing and is skipped; a failed
-        write leaves a warning on the execution record.
-        """
-        if self._store is None:
-            return 0
-        written = 0
-        for pkey in sorted(self._persist_dirty):
-            key = self._artifact_keys.get(pkey)
-            if key is None:
-                continue
-            solver = self._sessions.get(pkey)
-            state = solver.session.export_state() \
-                if solver is not None else None
-            if state is None:
-                # no session reached the SAT layer this run (everything
-                # replayed or affine-discharged): refresh the loaded
-                # artifact in place; with nothing loaded either there is
-                # no snapshot to anchor the artifact — skip
-                state = self._warm_artifact.get(pkey)
-                if state is None:
-                    continue
-            memo = [(canon, verdict, values)
-                    for canon, (verdict, values)
-                    in self._persist_memo.get(pkey, {}).items()]
-            artifact = make_artifact(state, memo,
-                                     self._persist_pairs.get(pkey, {}))
-            if self._store.put(key, artifact):
-                written += 1
-            else:
-                self._warn(f"solver artifact {key[:12]} not saved "
-                           f"(write failed); the next run cold-starts")
-        return written
-
-    def _warn(self, warning: str) -> None:
-        warnings = self.result.warnings
-        if warning not in warnings:
-            warnings.append(warning)
-
-    def _warm_session(self, preamble: Sequence[Term],
-                      pkey: Tuple[int, ...],
-                      session: SolverSession) -> None:
-        """Adopt the persisted solver state for a new session."""
-        if self._store is None:
-            return
-        self._ensure_warm(preamble, pkey)
-        artifact = self._warm_artifact.get(pkey)
-        if artifact is not None and session.adopt_state(artifact):
-            self.stats.warm_starts += 1
-
-    def _ensure_warm(self, preamble: Sequence[Term],
-                     pkey: Tuple[int, ...]) -> None:
-        """Load the persisted artifact for this preamble (once per
-        checker): fingerprint, disk read, validation. Any failure cold-
-        starts; a damaged entry (not a plain miss) also leaves a warning
-        on the execution record."""
-        if self._store is None or pkey in self._artifact_keys:
-            return
-        key = content_key("solver_artifact",
-                          preamble=preamble_fingerprint(preamble))
-        self._artifact_keys[pkey] = key
-        artifact, reason = self._store.lookup(key, artifact_problem)
-        if reason is not None:
-            self._warn(f"solver artifact {key[:12]} ignored: {reason}; "
-                       f"cold-starting")
-        if artifact is None:
-            return
-        self._warm_artifact[pkey] = artifact
-        self._persist_memo[pkey] = {
-            canon: (verdict, values)
-            for canon, verdict, values in artifact["memo"]}
-        self._persist_pairs[pkey] = dict(artifact.get("pairs") or {})
 
     def _solve_warp_aware(self, a1: Access, a2: Access,
                           preamble: List[Term],

@@ -332,6 +332,28 @@ class TestCacheDedup:
         assert "no-such-engine" in job.error
         assert "Traceback" not in job.error
 
+    @pytest.mark.parametrize("text", ["[]", "not json", "3"])
+    def test_damaged_spec_row_is_a_failed_job(self, store, text):
+        """A stored spec that is not a JSON object fails its job with
+        ``invalid job spec``: the worker survives and claims the next
+        job, and listing the queue still works."""
+        bad_id, _ = store.submit(_spec("bad"), "fp-bad")
+        good_id, _ = store.submit(_spec("good"), "fp-good")
+        with store._tx() as cur:
+            cur.execute("UPDATE jobs SET spec = ? WHERE job_id = ?",
+                        (text, bad_id))
+        assert len(store.list_jobs()) == 2
+        worker = WorkerDaemon(store, worker_id="w0", runner=ok_runner,
+                              isolate=False)
+        assert worker.process_one()
+        bad = store.get(bad_id)
+        assert bad.state == JobState.FAILED
+        assert bad.error.startswith("invalid job spec")
+        assert worker.process_one()
+        assert store.get(good_id).state == JobState.DONE
+        assert {j.state for j in store.list_jobs()} == {
+            JobState.FAILED, JobState.DONE}
+
 
 class TestDaemonSupervisor:
     def test_in_process_end_to_end(self, tmp_path):

@@ -115,7 +115,8 @@ def test_no_incremental_flag_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["check", "profile", "batch",
                                      "stream"])
-@pytest.mark.parametrize("flag", ["--no-static-tier", "--no-pruning"])
+@pytest.mark.parametrize("flag", ["--no-static-tier", "--no-pruning",
+                                  "--solver-cache"])
 def test_retired_flag_is_a_usage_error(command, flag, capsys):
     target = "builtin:race_free_pipeline" if command == "stream" \
         else "examples/kernels/scatter.cu"

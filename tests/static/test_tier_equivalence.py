@@ -8,17 +8,10 @@ randomly generated affine kernels through both pipelines: whatever the
 tier resolves, the solver-backed engine must agree with, and a
 statically resolved kernel must have issued zero solver queries.
 """
-import glob
-import json
-import os
-import subprocess
-import sys
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import repro
 from repro.cli import _phase_breakdown
 from repro.core import SESA
 from repro.kernels import ALL_KERNELS as ALL_KERNELS_BY_NAME
@@ -165,72 +158,6 @@ def test_phases_are_disjoint(name):
     assert sum(phases) <= report.elapsed_seconds
     total = _phase_breakdown(cs)["phases"]["total_seconds"]
     assert total == pytest.approx(sum(phases), abs=1e-5)
-
-
-# one check in a child process (fresh-variable counters are
-# process-global, so only a new process replays a disk artifact);
-# prints the verdict signature and the tier and warm-start counters
-STORE_CHILD = """
-import json, sys
-from repro.core import SESA
-from repro.kernels import ALL_KERNELS
-kernel = ALL_KERNELS[sys.argv[1]]
-config = kernel.launch_config()
-config.solver_cache_dir = sys.argv[2] or None
-config.static_tier = sys.argv[3] == "on"
-report = SESA.from_source(kernel.source, kernel.kernel_name).check(config)
-cs = report.check_stats
-print(json.dumps({
-    "signature": [
-        sorted(set((str(r.kind), r.obj_name, str(r.access1.loc),
-                    str(r.access2.loc), r.benign, r.unresolvable)
-                   for r in report.races)),
-        sorted(set((o.obj_name, str(o.access.loc)) for o in report.oobs)),
-        report.timed_out],
-    "tier": cs.tier, "queries": cs.queries,
-    "static_bail_reason": cs.static_bail_reason,
-    "warm_hits": cs.warm_memo_hits + cs.warm_pair_hits,
-}))
-"""
-
-
-def _store_run(name, cache_dir, tier):
-    src_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", STORE_CHILD, name, cache_dir, tier],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=src_dir))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-@pytest.mark.parametrize("name", ["fastWalsh", "histo_prescan"])
-def test_solver_store_keeps_verdicts(tmp_path, name):
-    """The solver-artifact store stays off while enumeration decides
-    and turns on at a record's first fallback. A cold tiered run, a
-    warm tiered run and a warm solver-only run on the same cache dir
-    all give the no-cache verdict: what tier 0 puts in the store never
-    changes the reference path."""
-    cache = str(tmp_path / "cache")
-    reference = _store_run(name, "", "on")
-    cold = _store_run(name, cache, "on")
-    artifacts = glob.glob(os.path.join(cache, "*", "*.json"))
-    warm = _store_run(name, cache, "on")
-    warm_mono = _store_run(name, cache, "off")
-    for run in (cold, warm, warm_mono):
-        assert run["signature"] == reference["signature"]
-    assert warm["tier"] == cold["tier"] == reference["tier"]
-    if name == "fastWalsh":
-        # fully enumerated: the store is never touched
-        assert cold["tier"] == "static"
-        assert artifacts == []
-        assert warm["queries"] == warm["warm_hits"] == 0
-    else:
-        # the fallback pair is solved, persisted, and replayed warm
-        assert "exceeds enumeration cap" in warm["static_bail_reason"]
-        assert artifacts
-        assert warm["warm_hits"] >= 1
 
 
 def test_failed_terms_are_not_evaluated_again(monkeypatch):

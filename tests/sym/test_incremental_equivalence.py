@@ -10,8 +10,11 @@ same formula), so they are excluded from the signature.
 """
 import pytest
 
-from repro.core import SESA
+from repro.core import SESA, LaunchConfig
 from repro.service.corpus import SUITES, spec_from_kernel
+from repro.smt import QueryMemo
+from repro.sym.executor import Executor
+from repro.sym.races import RaceChecker
 
 # a fast cross-section of the corpus: racy, clean, benign-WW, OOB,
 # divergence-heavy and barrier-heavy kernels (each < ~1 s per mode)
@@ -85,3 +88,49 @@ def test_witnesses_remain_valid_models(one_shot_solving):
         assert report.races
         for race in report.races:
             assert race.witness is not None
+
+
+TWO_OBJECTS = """
+__shared__ int a[64];
+__shared__ int b[64];
+__global__ void k() {
+  a[threadIdx.x] = a[(threadIdx.x + 1) % blockDim.x];
+  b[threadIdx.x] = b[(threadIdx.x + 3) % blockDim.x];
+}
+"""
+
+
+class TestSharedSessionStatsAudit:
+    """Sessions outlive a checker (the repair loop re-checks against a
+    warm shared pool); per-checker solver counters must reflect only
+    that checker's queries, not the session's lifetime totals."""
+
+    def _execution(self):
+        tool = SESA.from_source(TWO_OBJECTS, None)
+        config = LaunchConfig(block_dim=(64, 1, 1))
+        config.symbolic_inputs = tool.inferred_symbolic_inputs()
+        executor = Executor(tool.module, tool.kernel, config,
+                            mode="sesa",
+                            sink_value_ids=tool.taint.sink_value_ids)
+        return executor.run()
+
+    def test_second_checker_not_double_counted(self):
+        result = self._execution()
+        sessions = {}
+        c1 = RaceChecker(result, sessions=sessions, memo=QueryMemo())
+        c1.check()
+        c2 = RaceChecker(result, sessions=sessions, memo=QueryMemo())
+        c2.check()
+        # both objects share one structurally identical preamble, so
+        # the pool holds one warm session the second pass reuses whole
+        assert c1.stats.sessions_created >= 1
+        assert c2.stats.sessions_created == 0
+        assert c2.stats.preamble_reuse > 0
+        for checker in (c1, c2):
+            # every query dispatched exactly once: a double-merge of
+            # session-lifetime stats would push by_session past queries
+            for s in (checker.stats.solver, checker.stats.feasibility):
+                assert s.answered() == s.queries
+        # both checkers solved the same queries against the same pool
+        assert c2.stats.solver.by_session <= c1.stats.solver.by_session
+        assert len(c2.races) == len(c1.races)

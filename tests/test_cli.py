@@ -59,18 +59,15 @@ class TestCheck:
         assert payload["flows"] == 1
         assert payload["resolvable"] == "Y"
 
-    def test_text_report_shows_warnings(self, racy_file, tmp_path, capsys):
-        # a solver cache path that is a regular file cold-starts with a
-        # warning; the text report must show it, as --json does
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("")
-        code = main(["check", racy_file, "--block", "64", "--no-oob",
-                     "--solver-cache", str(blocker)])
-        assert code == 1
+    def test_text_report_shows_warnings(self, racy_file, capsys):
+        # a zero wall-clock budget leaves a warning on the execution
+        # record; the text report must show it, as --json does
+        main(["check", racy_file, "--block", "64", "--no-oob",
+              "--time-budget", "0"])
         warnings = [line for line in capsys.readouterr().out.splitlines()
                     if line.strip().startswith("WARNING:")]
         assert len(warnings) == 1
-        assert "unusable" in warnings[0] and "cold-starting" in warnings[0]
+        assert "wall-clock budget" in warnings[0]
 
     def test_engine_selection(self, racy_file, capsys):
         code = main(["check", racy_file, "--block", "8", "--no-oob",

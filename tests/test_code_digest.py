@@ -1,12 +1,8 @@
-"""Every content key and solver artifact is tied to the checker code
+"""Every content key is tied to the checker code
 (:func:`repro.code_digest`), not to ``__version__``: an entry written
 by other analysis code must miss."""
-import glob
-import os
-
 import repro
 from repro import code_digest
-from repro.core import LaunchConfig, check_source
 from repro.kernels.streams import get_stream_case
 from repro.service import JobSpec, cache_key, content_key, swarm_cache_key
 from repro.streams import StreamChecker
@@ -55,29 +51,3 @@ def test_equal_material_under_two_kinds_gives_two_keys():
     job = content_key("job", **material)
     assert job == content_key("job", **dict(reversed(material.items())))
     assert job != content_key("stream_launch", **material)
-
-
-def test_changed_code_cold_starts_a_persisted_artifact(
-        tmp_path, monkeypatch):
-    """An artifact saved under another code digest is never served: the
-    re-check starts cold, and silently (a plain miss, not damage)."""
-    cache = str(tmp_path)
-
-    def check():
-        report = check_source(SOURCE, LaunchConfig(
-            block_dim=(64, 1, 1), solver_cache_dir=cache,
-            static_tier=False))
-        cs = report.check_stats
-        warm = cs.warm_starts + cs.warm_memo_hits + cs.warm_pair_hits
-        return report, cs.warm_starts, warm
-
-    monkeypatch.setattr(repro, "_code_digest", "0" * 64)
-    check()
-    assert glob.glob(os.path.join(cache, "*", "*.json"))
-    monkeypatch.undo()
-    report, warm_starts, warm = check()
-    assert warm_starts == 0 and warm == 0
-    assert not report.execution.warnings
-    # control: under the digest that saved it, the artifact is served
-    monkeypatch.setattr(repro, "_code_digest", "0" * 64)
-    assert check()[2] >= 1
