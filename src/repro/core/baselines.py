@@ -24,7 +24,7 @@ from ..frontend import compile_source
 from ..passes import standard_pipeline
 from ..smt import mk_and, mk_bv, mk_bv_var, mk_eq
 from ..sym import (
-    Executor, LaunchConfig, RaceChecker, analyze_resolvability,
+    MAX_REPORTS, Executor, LaunchConfig, RaceChecker, analyze_resolvability,
 )
 from .report import AnalysisReport
 
@@ -50,7 +50,7 @@ class GKLEEp:
         return {arg.name for arg in self.kernel.args}
 
     def check(self, config: Optional[LaunchConfig] = None,
-              max_reports: int = 16) -> AnalysisReport:
+              max_reports: int = MAX_REPORTS) -> AnalysisReport:
         config = config or LaunchConfig()
         start = time.perf_counter()
         if config.symbolic_inputs is None:

@@ -25,7 +25,7 @@ from ..passes.taint import TaintReport
 from ..smt import CheckResult, Solver
 from ..static import run_static_tier, static_reason
 from ..sym import (
-    ExecutionResult, Executor, LaunchConfig, RaceChecker,
+    MAX_REPORTS, ExecutionResult, Executor, LaunchConfig, RaceChecker,
     analyze_resolvability,
 )
 from .report import AnalysisReport
@@ -89,7 +89,7 @@ class SESA:
                         sink_value_ids=self.taint.sink_value_ids).run()
 
     def check(self, config: Optional[LaunchConfig] = None,
-              max_reports: int = 16) -> AnalysisReport:
+              max_reports: int = MAX_REPORTS) -> AnalysisReport:
         """Full SESA analysis: taint-guided symbolisation, parametric
         execution with flow combining, race + OOB checking."""
         config = config or LaunchConfig()

@@ -26,7 +26,7 @@ from ..passes import (
     analyze_taint, check_barrier_uniformity, standard_pipeline,
 )
 from ..smt import QueryMemo
-from ..sym import Executor, LaunchConfig, RaceChecker
+from ..sym import MAX_REPORTS, Executor, LaunchConfig, RaceChecker
 from .candidates import CandidateGenerator, InsertionPoint, barrier_removals
 from .diff import RenderError, SourceEdit, apply_edits, render_diff
 from .rewriter import IRRewriter, RewriteError
@@ -173,6 +173,15 @@ class RepairResult:
         return "\n".join(lines)
 
 
+class _CopyChecker(RaceChecker):
+    """Reports every racy pair, not each distinct race once: the repair
+    loop's progress rule counts the copies a candidate barrier
+    removes, so each pair is its own report key."""
+
+    def _report_key(self, a1, a2) -> tuple:
+        return (self._current_ordinal,)
+
+
 class RepairEngine:
     """Drives the repair loop for one kernel."""
 
@@ -181,7 +190,7 @@ class RepairEngine:
                  max_iterations: int = 8,
                  max_candidates: int = 24,
                  solver_budget: Optional[int] = 200_000,
-                 max_reports: int = 16,
+                 max_reports: int = MAX_REPORTS,
                  share_sessions: bool = True,
                  remove_redundant: bool = False,
                  time_budget_seconds: Optional[float] = None) -> None:
@@ -222,7 +231,7 @@ class RepairEngine:
                             mode="sesa",
                             sink_value_ids=self.taint.sink_value_ids)
         result = executor.run()
-        checker = RaceChecker(
+        checker = _CopyChecker(
             result, solver_budget=self.solver_budget,
             max_reports=self.max_reports,
             sessions=self._sessions if self.share_sessions else None,

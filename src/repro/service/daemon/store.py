@@ -101,17 +101,19 @@ class JobRow:
         return out
 
 
-def _decode_spec(text) -> Tuple[dict, Optional[str]]:
-    """A stored spec, plus the ``invalid job spec`` error a damaged one
-    fails its job with (``None`` when the spec is a JSON object)."""
+def _decode_object(text, column: str) -> Tuple[Optional[dict],
+                                               Optional[str]]:
+    """A stored JSON-object column, plus the ``invalid job <column>``
+    error a damaged one fails its job with (``None`` when the column
+    holds a JSON object)."""
     try:
-        spec = json.loads(text)
+        value = json.loads(text)
     except (TypeError, ValueError):
-        return {}, "invalid job spec: not JSON"
-    if not isinstance(spec, dict):
-        return {}, (f"invalid job spec: expected an object, got "
-                    f"{type(spec).__name__}")
-    return spec, None
+        return None, f"invalid job {column}: not JSON"
+    if not isinstance(value, dict):
+        return None, (f"invalid job {column}: expected an object, got "
+                      f"{type(value).__name__}")
+    return value, None
 
 
 class JobStore:
@@ -168,18 +170,25 @@ class JobStore:
 
     @staticmethod
     def _row_to_job(row: sqlite3.Row) -> JobRow:
-        spec, spec_error = _decode_spec(row["spec"])
+        spec, spec_error = _decode_object(row["spec"], "spec")
+        state, error = row["state"], row["error"]
+        result = None
+        if row["result"]:
+            result, result_error = _decode_object(row["result"], "result")
+            if result_error is not None:
+                # a damaged verdict reads as a failed job, never as a
+                # done one without a result
+                state, error = JobState.FAILED, result_error
         return JobRow(
             job_id=row["job_id"], fingerprint=row["fingerprint"],
-            spec=spec, spec_error=spec_error, state=row["state"],
-            attempts=row["attempts"], max_attempts=row["max_attempts"],
+            spec=spec if spec is not None else {}, spec_error=spec_error,
+            state=state, attempts=row["attempts"],
+            max_attempts=row["max_attempts"],
             submitted_at=row["submitted_at"],
             updated_at=row["updated_at"],
             lease_owner=row["lease_owner"],
             lease_deadline=row["lease_deadline"],
-            result=(json.loads(row["result"]) if row["result"]
-                    else None),
-            error=row["error"])
+            result=result, error=error)
 
     def submit(self, spec: JobSpec, fingerprint: str,
                max_attempts: Optional[int] = None,
@@ -202,12 +211,13 @@ class JobStore:
         job_id = "job-" + uuid.uuid4().hex[:12]
         with self._tx() as cur:
             cur.execute(
-                "SELECT job_id FROM jobs WHERE fingerprint = ? AND "
-                "state IN (?, ?, ?, ?) ORDER BY submitted_at LIMIT 1",
+                "SELECT * FROM jobs WHERE fingerprint = ? AND "
+                "state IN (?, ?, ?, ?) ORDER BY submitted_at",
                 (fingerprint,) + JobState.SHARABLE)
-            row = cur.fetchone()
-            if row is not None:
-                return row["job_id"], True
+            for row in cur.fetchall():
+                # a done row whose result is damaged reads as failed
+                if self._row_to_job(row).state in JobState.SHARABLE:
+                    return row["job_id"], True
             cur.execute(
                 "INSERT INTO jobs (job_id, fingerprint, spec, state, "
                 "attempts, max_attempts, submitted_at, updated_at, "

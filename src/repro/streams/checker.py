@@ -63,7 +63,10 @@ from ..service.jobs import JobResult, JobStatus
 from ..smt import SolverStats
 from ..sym import LaunchConfig
 from ..sym.access import Access, AccessKind
-from ..sym.pairs import PairDischarge, PairSide, race_kind, witness_inputs
+from ..sym.pairs import (
+    MAX_REPORTS, PairDischarge, PairSide, ReportKeys, race_kind,
+    witness_inputs,
+)
 from .hb import HappensBefore
 from .program import Launch, StreamProgram
 
@@ -155,6 +158,13 @@ class InterLaunchRace:
                 f"launch {self.launch2} "
                 f"({self.kernel2}:{self.param2}, line {self.loc2}) — "
                 f"{self.witness_str()}")
+
+    def report_key(self) -> tuple:
+        """The race's :class:`~repro.sym.pairs.ReportKeys` key: kind,
+        buffer and each side's launch and source line. (A stream report
+        carries no resolvability flag.)"""
+        return (self.kind, self.buffer, self.launch1, self.loc1,
+                self.launch2, self.loc2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -380,7 +390,7 @@ class StreamChecker(PairDischarge):
     def __init__(self, program: StreamProgram,
                  cache=None, telemetry=None,
                  config: Optional[LaunchConfig] = None,
-                 max_reports: int = 16) -> None:
+                 max_reports: int = MAX_REPORTS) -> None:
         #: the stream-wide settings every launch is checked under; each
         #: launch takes its geometry, scalars and array sizes from the
         #: program and infers its own symbolic inputs, and
@@ -399,6 +409,7 @@ class StreamChecker(PairDischarge):
         standard_pipeline().run(self.module)
         program.validate(self.module)
         self._sesa: Dict[str, SESA] = {}
+        self._keys = ReportKeys()
         self.stats = StreamStats()
         self.warnings: List[str] = []
 
@@ -491,11 +502,10 @@ class StreamChecker(PairDischarge):
         reports to *races*)."""
         preamble = s1.bounds + s2.bounds
         found: List[dict] = []
-        reported: Set[tuple] = set()
         for buf in sorted(set(s1.by_buffer) & set(s2.by_buffer)):
             for a1 in s1.by_buffer[buf]:
                 for a2 in s2.by_buffer[buf]:
-                    if len(races) >= self.max_reports \
+                    if len(self._keys) >= self.max_reports \
                             or self._out_of_time():
                         return found
                     if not (a1.kind.is_write() or a2.kind.is_write()):
@@ -506,37 +516,40 @@ class StreamChecker(PairDischarge):
                         # races, across launches exactly as within one
                         continue
                     self.stats.pairs_considered += 1
-                    # one report per (buffer, line pair, kind): loop
-                    # iterations of the same statement are the same bug
-                    rkey = (buf, a1.loc, a2.loc, race_kind(a1, a2))
-                    if rkey in reported:
+                    race = InterLaunchRace(
+                        kind=race_kind(a1, a2), buffer=buf,
+                        launch1=s1.index, launch2=s2.index,
+                        kernel1=s1.launch.kernel,
+                        kernel2=s2.launch.kernel,
+                        param1=a1.obj.name, param2=a2.obj.name,
+                        loc1=int(a1.loc) if a1.loc is not None else None,
+                        loc2=int(a2.loc) if a2.loc is not None else None)
+                    # loop iterations of one statement are one race
+                    key = race.report_key()
+                    state = self._keys.state(key)
+                    if state:
                         continue
                     if self.config.pair_pruning \
                             and self._provably_disjoint(s1, a1, s2, a2):
                         self.stats.pruned_pairs += 1
                         continue
                     goal = self._goal(s1, a1, s2, a2)
+                    if state is not None and self._no_harmful_copy(
+                            s1, a1, s2, a2, goal, preamble):
+                        continue
                     model = self._solve(goal, preamble)
                     if model is None:
                         continue
-                    benign = self._classify_benign(
+                    race.benign = self._classify_benign(
                         s1, a1, s2, a2, goal, preamble)
-                    reported.add(rkey)
-                    race = InterLaunchRace(
-                        kind=rkey[3], buffer=buf,
-                        launch1=s1.index, launch2=s2.index,
-                        kernel1=s1.launch.kernel,
-                        kernel2=s2.launch.kernel,
-                        param1=a1.obj.name, param2=a2.obj.name,
-                        loc1=int(a1.loc) if a1.loc is not None else None,
-                        loc2=int(a2.loc) if a2.loc is not None else None,
-                        benign=benign,
-                        witness={
-                            "thread1": list(s1.coords(model, "tid")),
-                            "block1": list(s1.coords(model, "bid")),
-                            "thread2": list(s2.coords(model, "tid")),
-                            "block2": list(s2.coords(model, "bid")),
-                            "inputs": witness_inputs(model)})
+                    if not self._keys.admit(key, race.benign):
+                        continue
+                    race.witness = {
+                        "thread1": list(s1.coords(model, "tid")),
+                        "block1": list(s1.coords(model, "bid")),
+                        "thread2": list(s2.coords(model, "tid")),
+                        "block2": list(s2.coords(model, "bid")),
+                        "inputs": witness_inputs(model)}
                     races.append(race)
                     found.append(race.to_dict())
                     self.stats.inter_launch_races += 1
@@ -573,7 +586,7 @@ class StreamChecker(PairDischarge):
         races: List[InterLaunchRace] = []
         t0 = time.perf_counter()
         for i, j in unordered:
-            if len(races) >= self.max_reports or self._out_of_time():
+            if len(self._keys) >= self.max_reports or self._out_of_time():
                 break
             s1, s2 = sides.get(i), sides.get(j)
             if s1 is None or s2 is None:
@@ -588,10 +601,15 @@ class StreamChecker(PairDischarge):
             if payload is not None:
                 self.stats.pair_cache_hits += 1
                 for data in payload["races"]:
-                    if len(races) >= self.max_reports:
+                    if len(self._keys) >= self.max_reports:
                         break
-                    races.append(InterLaunchRace.from_dict(data))
-                    self.stats.inter_launch_races += 1
+                    # the entry is keyed on launch content, not position:
+                    # another launch pair with the same content wrote it
+                    race = InterLaunchRace.from_dict(
+                        dict(data, launch1=i, launch2=j))
+                    if self._keys.admit(race.report_key(), race.benign):
+                        races.append(race)
+                        self.stats.inter_launch_races += 1
                 continue
             was_timed_out = self.timed_out
             found = self._check_launch_pair(s1, s2, races)
@@ -599,7 +617,7 @@ class StreamChecker(PairDischarge):
             # report cap mid-pair leaves the verdict partial
             if self.cache is not None \
                     and self.timed_out == was_timed_out \
-                    and len(races) < self.max_reports:
+                    and len(self._keys) < self.max_reports:
                 self.cache.put(pair_fp, {"races": found})
         self.stats.solve_seconds += time.perf_counter() - t0
         self.stats.elapsed_seconds = time.perf_counter() - start

@@ -8,6 +8,7 @@ from .memory import (
     MemoryObject, ObjectLog, WriteRecord, contains_havoc, is_havoc_term,
     make_havoc,
 )
+from .pairs import MAX_REPORTS
 from .races import (
     AssertionReport, CheckStats, OOBReport, RaceChecker, RaceReport,
     RaceWitness,
@@ -26,7 +27,7 @@ __all__ = [
     "summarize_access_set", "LaunchConfig", "SymbolicEnv",
     "BudgetExhausted", "ExecutionError", "ExecutionResult", "Executor",
     "MemoryObject", "ObjectLog", "WriteRecord", "contains_havoc",
-    "is_havoc_term", "make_havoc", "AssertionReport", "CheckStats", "OOBReport", "RaceChecker",
+    "is_havoc_term", "make_havoc", "MAX_REPORTS", "AssertionReport", "CheckStats", "OOBReport", "RaceChecker",
     "RaceReport", "RaceWitness", "ResolvabilityReport",
     "analyze_resolvability", "render_flow_tree", "FlowState", "Pointer", "SymValue",
     "fit_width", "width_of",

@@ -15,7 +15,8 @@ checker's are threads of two different launches (``!L<i>``).
   marks the verdict timed out;
 * the benign classification of colliding write/write pairs, which only
   a definite UNSAT can grant;
-* the race kind and the witness coordinates.
+* the race kind and the witness coordinates;
+* the report rule (:class:`ReportKeys`): one report per distinct race.
 
 The static tier runs the intra-launch client with exhaustive
 evaluation ahead of the solve (the ``discharge`` hook of
@@ -24,7 +25,7 @@ evaluation ahead of the solve (the ``discharge`` hook of
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..smt import (
     CheckResult, Model, QueryMemo, Solver, Substitution,
@@ -38,6 +39,10 @@ from .memory import contains_havoc
 
 #: cache-miss sentinel (None is a legitimate cached value)
 _MISS = object()
+
+#: the report cap: distinct race keys (and OOB sites, assertion
+#: failures) one check reports before it stops
+MAX_REPORTS = 64
 
 
 class PairSide:
@@ -131,6 +136,58 @@ def race_kind(a1: Access, a2: Access) -> str:
     if AccessKind.ATOMIC in (a1.kind, a2.kind):
         kind = "Atomic/W" if kind == "WW" else "Atomic/R"
     return kind
+
+
+def site(loc) -> Optional[Tuple[int, int]]:
+    """``(line, column)`` of a source location, or None: the form a
+    race report key holds (a ``SourceLoc`` compares by its line only)."""
+    if loc is None:
+        return None
+    return int(loc), getattr(loc, "col", 0)
+
+
+class ReportKeys:
+    """The report rule: one report per distinct race.
+
+    A report's *key* names the race without its witness: for a race in
+    one launch, ``(kind, object, site1, site2, unresolvable)``. A
+    distinct race is a key plus ``benign``. Once a key has a harmful
+    report, further pairs of it add nothing. While it has only a benign
+    one, a further pair adds a report only if it is harmful, so
+    "benign" keeps meaning that every collision writes the same value.
+    ``max_reports`` caps :func:`len`, the number of distinct keys.
+
+    Clients look a pair up by ``key[:-1]`` first (:meth:`has_prefix`),
+    so a last component that is costly to compute (the resolvability
+    walk) is needed only for pairs whose prefix already has a report.
+    """
+
+    def __init__(self) -> None:
+        #: key -> True once it has a harmful report, False while its
+        #: only report is benign
+        self._harmful: Dict[tuple, bool] = {}
+        self._prefixes: Set[tuple] = set()
+
+    def __len__(self) -> int:
+        return len(self._harmful)
+
+    def has_prefix(self, prefix: tuple) -> bool:
+        return prefix in self._prefixes
+
+    def state(self, key: tuple) -> Optional[bool]:
+        """None: no report yet; False: only a benign one; True: a
+        harmful one (the key is done)."""
+        return self._harmful.get(key)
+
+    def admit(self, key: tuple, benign: bool) -> bool:
+        """Record a report of *key*; False when it would repeat a
+        distinct race or follow the key's harmful report."""
+        state = self._harmful.get(key)
+        if state or (state is not None and benign):
+            return False
+        self._harmful[key] = not benign
+        self._prefixes.add(key[:-1])
+        return True
 
 
 def witness_inputs(model: Model) -> Dict[str, int]:
@@ -279,6 +336,18 @@ class PairDischarge:
 
     # -- classification --------------------------------------------------
 
+    @staticmethod
+    def _values_differ(s1: PairSide, a1: Access, s2: PairSide,
+                       a2: Access) -> Optional[Term]:
+        """"The two written values differ", or None when the pair is
+        not a W/W pair with pure recorded values (never benign)."""
+        if not (a1.kind.is_write() and a2.kind.is_write()
+                and a1.value is not None and a2.value is not None):
+            return None
+        if contains_havoc(a1.value) or contains_havoc(a2.value):
+            return None
+        return mk_ne(s1.inst(a1.value), s2.inst(a2.value))
+
     def _classify_benign(self, s1: PairSide, a1: Access, s2: PairSide,
                          a2: Access, goal: List[Term],
                          preamble: Sequence[Term]) -> bool:
@@ -286,14 +355,30 @@ class PairDischarge:
         value (paper's "W/W (Benign)"). Only a definite UNSAT of the
         value-disequality query makes it benign: an UNKNOWN leaves the
         race non-benign and the verdict timed out."""
-        if not (a1.kind.is_write() and a2.kind.is_write()
-                and a1.value is not None and a2.value is not None):
+        distinct = self._values_differ(s1, a1, s2, a2)
+        if distinct is None:
             return False
-        if contains_havoc(a1.value) or contains_havoc(a2.value):
-            return False
-        distinct = mk_ne(s1.inst(a1.value), s2.inst(a2.value))
         timed_out, self.timed_out = self.timed_out, False
         model = self._solve(goal + [distinct], preamble)
         unknown = self.timed_out
         self.timed_out = timed_out or unknown
         return model is None and not unknown
+
+    def _no_harmful_copy(self, s1: PairSide, a1: Access, s2: PairSide,
+                         a2: Access, goal: List[Term],
+                         preamble: Sequence[Term]) -> bool:
+        """For a pair whose report key has only a benign report: can it
+        provably not collide with different written values? That is the
+        benign query, answered UNSAT. An unknown answer leaves the
+        budget flag alone, because the pair then takes the full
+        discharge, which decides it as if this step had not run."""
+        distinct = self._values_differ(s1, a1, s2, a2)
+        if distinct is None:
+            return False
+        if distinct.is_false():
+            return True   # one value term on both sides
+        timed_out, self.timed_out = self.timed_out, False
+        excluded = self._solve(goal + [distinct], preamble) is None \
+            and not self.timed_out
+        self.timed_out = timed_out
+        return excluded

@@ -14,6 +14,10 @@ address overlap with the SMT solver. Warp semantics:
 Write/write races additionally get a *benign* classification: if the two
 writes provably store the same value whenever they collide, the paper's
 tables mark them "W/W (Benign)".
+
+Each distinct race is reported once (:class:`~repro.sym.pairs.ReportKeys`):
+the same source-line pair recurs in pair after pair across flows, and a
+pair whose report key already has a harmful report is not solved.
 """
 from __future__ import annotations
 
@@ -32,7 +36,10 @@ from ..smt.terms import Op, mk_add, mk_mul
 from .access import Access, AccessKind
 from .executor import ExecutionResult
 from .memory import MemoryObject, contains_havoc
-from .pairs import _MISS, PairDischarge, PairSide, race_kind, witness_inputs
+from .pairs import (
+    _MISS, MAX_REPORTS, PairDischarge, PairSide, ReportKeys, race_kind, site,
+    witness_inputs,
+)
 from .swarm import ShardSelector
 
 #: a pair's discharge step: ``(a1, a2, same_bi)`` -> None (no race) or
@@ -127,6 +134,9 @@ class AssertionReport:
 @dataclass
 class CheckStats:
     pairs_considered: int = 0
+    #: pairs skipped because their report key already has a harmful
+    #: report, or has a benign one and the pair cannot be harmful
+    known_key_skips: int = 0
     queries: int = 0
     races_found: int = 0
     oob_found: int = 0
@@ -174,7 +184,7 @@ class RaceChecker(PairDischarge):
 
     def __init__(self, result: ExecutionResult,
                  solver_budget: Optional[int] = 200_000,
-                 max_reports: int = 16,
+                 max_reports: int = MAX_REPORTS,
                  extra_assumptions: Optional[List[Term]] = None,
                  sessions: Optional[Dict[Tuple[int, ...], Solver]] = None,
                  memo: Optional[QueryMemo] = None) -> None:
@@ -201,6 +211,8 @@ class RaceChecker(PairDischarge):
         self.stats.execute_seconds = result.elapsed_seconds
         self.stats.feasibility = result.feasibility.copy()
         self.races: List[RaceReport] = []
+        self._keys = ReportKeys()
+        self._screen_benign_copies = True
         self.oobs: List[OOBReport] = []
         self.assertion_failures: List[AssertionReport] = []
         # two instantiations of the parametric thread; their summary
@@ -309,6 +321,9 @@ class RaceChecker(PairDischarge):
         enumerable record."""
         self.timed_out = False
         self._deadline = None
+        # a copy of a benign-only key is screened by a solver query; on
+        # an enumerable record enumeration decides the copy in full
+        self._screen_benign_copies = discharge is None
         if self.config.time_budget_seconds is not None:
             self._deadline = time.monotonic() + \
                 self.config.time_budget_seconds
@@ -353,7 +368,7 @@ class RaceChecker(PairDischarge):
             self.stats.pairgen_seconds += time.perf_counter() - t0
             if item is None:
                 return
-            if len(self.races) >= self.max_reports or self._out_of_time():
+            if len(self._keys) >= self.max_reports or self._out_of_time():
                 return
             t0 = time.perf_counter()
             self._check_pair(*item, discharge)
@@ -582,13 +597,36 @@ class RaceChecker(PairDischarge):
         return (cls(a1), cls(a2), same_bi, a1.obj.space,
                 a1.instr_id == a2.instr_id)
 
+    def _report_key(self, a1: Access, a2: Access) -> tuple:
+        """The cheap prefix of a pair's report key: kind, object and
+        both source sites. The key appends ``unresolvable``."""
+        return (race_kind(a1, a2), a1.obj.name, site(a1.loc), site(a2.loc))
+
+    def _unresolvable(self, a1: Access, a2: Access) -> bool:
+        return any(contains_havoc(t) for t in
+                   (a1.cond, a2.cond, a1.offset, a2.offset))
+
     def _check_pair(self, a1: Access, a2: Access, same_bi: bool,
                     discharge: Discharge) -> None:
         """Decide one candidate pair and emit its race, if any.
 
+        A pair whose report key is done, or has only a benign report
+        that the pair provably cannot turn harmful, is skipped first.
         *discharge* decides a pair that the pair memo and the affine
         fast path left open."""
         self.stats.pairs_considered += 1
+        prefix = self._report_key(a1, a2)
+        unresolvable = None
+        if self._keys.has_prefix(prefix):
+            unresolvable = self._unresolvable(a1, a2)
+            state = self._keys.state(prefix + (unresolvable,))
+            if state or (state is not None
+                         and self._screen_benign_copies
+                         and self._no_harmful_copy(
+                             self._side1, a1, self._side2, a2,
+                             *self._race_query(a1, a2, same_bi))):
+                self.stats.known_key_skips += 1
+                return
         obj = a1.obj
         memo_key = None
         if self.pruning:
@@ -598,7 +636,8 @@ class RaceChecker(PairDischarge):
                 self.stats.pair_memo_hits += 1
                 if hit is not None:
                     values, benign = hit
-                    self._emit_race(a1, a2, Model(dict(values)), benign)
+                    self._emit_race(a1, a2, Model(dict(values)), benign,
+                                    prefix, unresolvable)
                 return
 
         if self._affine_no_overlap(a1, a2, obj):
@@ -617,17 +656,22 @@ class RaceChecker(PairDischarge):
         model, benign = verdict
         if settled:
             self._pair_memo[memo_key] = (dict(model.values), benign)
-        self._emit_race(a1, a2, model, benign)
+        self._emit_race(a1, a2, model, benign, prefix, unresolvable)
+
+    def _race_query(self, a1: Access, a2: Access, same_bi: bool
+                    ) -> Tuple[List[Term], List[Term]]:
+        """``(goal, preamble)`` of the pair's race query."""
+        goal = self._goal(self._side1, a1, self._side2, a2)
+        if not same_bi:
+            # cross-interval global pair: only unordered across blocks
+            goal.append(mk_not(self._same_block()))
+        return goal, self._race_preamble(a1.obj)
 
     def _solve_pair(self, a1: Access, a2: Access, same_bi: bool
                     ) -> Optional[Tuple[Model, bool]]:
         """The default discharge: solve the race query, then classify
         a collision as benign or not."""
-        preamble = self._race_preamble(a1.obj)
-        goal = self._goal(self._side1, a1, self._side2, a2)
-        if not same_bi:
-            # cross-interval global pair: only unordered across blocks
-            goal.append(mk_not(self._same_block()))
+        goal, preamble = self._race_query(a1, a2, same_bi)
         if self._conj_trivially_false(preamble, goal):
             return None
         if self.config.warp_lockstep and self.config.warp_size > 1:
@@ -713,9 +757,12 @@ class RaceChecker(PairDischarge):
         return reachable
 
     def _emit_race(self, a1: Access, a2: Access, model: Model,
-                   benign: bool) -> None:
-        unresolvable = any(contains_havoc(t) for t in
-                           (a1.cond, a2.cond, a1.offset, a2.offset))
+                   benign: bool, prefix: tuple,
+                   unresolvable: Optional[bool]) -> None:
+        if unresolvable is None:
+            unresolvable = self._unresolvable(a1, a2)
+        if not self._keys.admit(prefix + (unresolvable,), benign):
+            return
         report = RaceReport(
             kind=race_kind(a1, a2), obj_name=a1.obj.name,
             access1=a1, access2=a2,

@@ -27,12 +27,18 @@ Soundness of the merge (this is where silent unsoundness would hide):
   SAFE;
 * any racy shard makes the merge racy, carrying that shard's witness.
 
-Racy merges reproduce the monolithic report exactly: every emitted
-race is tagged with its pair ordinal, the merge sorts by ordinal and
-truncates to ``max_reports`` — the same "first N SAT pairs in
-enumeration order" the sequential checker reports. (A shard stops
-early only after finding ``max_reports`` races of its own, and those
-already fill the merged cap before any ordinal the shard skipped.)
+Racy merges reproduce the monolithic report list exactly. Every
+emitted race is tagged with its pair ordinal. The merge sorts the
+union of shard races by ordinal and replays the sequential checker's
+report rule (:class:`~repro.sym.pairs.ReportKeys`) over it: a report
+whose distinct race an earlier ordinal already holds, or whose key
+already has a harmful report, is dropped, and the walk stops once
+``max_reports`` distinct keys are in. A shard reports the first pair
+of each of its own keys, so every report the sequential checker makes
+in a shard's range is one that shard made. A shard stops early only
+after ``max_reports`` keys of its own; each of them is in the merge at
+or before its ordinal, so the merged cap is full before any ordinal
+the shard skipped.
 """
 from __future__ import annotations
 
@@ -40,6 +46,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .pairs import MAX_REPORTS, ReportKeys
 
 
 @dataclass(frozen=True)
@@ -286,8 +294,30 @@ def _sum_dicts(acc: dict, new: dict) -> dict:
     return acc
 
 
+def _replay_report_rule(races: List[dict], max_reports: int
+                        ) -> List[dict]:
+    """The sequential checker's report list from the union of shard
+    races: ordinal order, one report per distinct race, capped at
+    *max_reports* distinct keys (ordinals are globally unique, so the
+    sort is total)."""
+    keys = ReportKeys()
+    kept: List[dict] = []
+    for race in sorted(races, key=lambda r: (r.get("ordinal")
+                                             if r.get("ordinal") is not None
+                                             else -1)):
+        if len(keys) >= max_reports:
+            break
+        sites = tuple(tuple(loc) if loc is not None else None
+                      for loc in race.get("locs") or (None, None))
+        key = (race.get("kind"), race.get("object"), *sites,
+               bool(race.get("unresolvable")))
+        if keys.admit(key, bool(race.get("benign"))):
+            kept.append(race)
+    return kept
+
+
 def merge_shard_outcomes(outcomes: Sequence[ShardOutcome],
-                         max_reports: int = 16) -> dict:
+                         max_reports: int = MAX_REPORTS) -> dict:
     """Combine shard outcomes into one AnalysisReport-shaped verdict.
 
     Verdict rule: any RACY shard ⇒ racy (that shard's witnesses ride
@@ -324,11 +354,7 @@ def merge_shard_outcomes(outcomes: Sequence[ShardOutcome],
             f"swarm: shard {outcome.shard.label()} unresolved "
             f"(status {outcome.status}"
             + (f": {outcome.error}" if outcome.error else "") + ")")
-    # monolithic replay: first max_reports SAT pairs in enumeration
-    # order (ordinals are globally unique, so the sort is total)
-    races.sort(key=lambda r: (r.get("ordinal")
-                              if r.get("ordinal") is not None else -1))
-    races = races[:max_reports]
+    races = _replay_report_rule(races, max_reports)
     oobs = oobs[:max_reports]
     asserts = asserts[:max_reports]
 

@@ -354,6 +354,30 @@ class TestCacheDedup:
         assert {j.state for j in store.list_jobs()} == {
             JobState.FAILED, JobState.DONE}
 
+    @pytest.mark.parametrize("text", ["{trunc", "[]", "3"])
+    def test_damaged_result_row_reads_as_failed(self, store, text):
+        """A done job whose stored result is not a JSON object reads as
+        failed with ``invalid job result``; every other row still lists,
+        and a resubmit of its content runs afresh."""
+        bad_id, _ = store.submit(_spec("bad"), "fp-bad")
+        good_id, _ = store.submit(_spec("good"), "fp-good")
+        worker = WorkerDaemon(store, worker_id="w0", runner=ok_runner,
+                              isolate=False)
+        assert worker.process_one() and worker.process_one()
+        with store._tx() as cur:
+            cur.execute("UPDATE jobs SET result = ? WHERE job_id = ?",
+                        (text, bad_id))
+        jobs = {j.job_id: j for j in store.list_jobs()}
+        assert set(jobs) == {bad_id, good_id}
+        bad = store.get(bad_id)
+        assert bad.state == JobState.FAILED and bad.result is None
+        assert bad.error.startswith("invalid job result")
+        assert bad.status_dict()["terminal"]
+        assert jobs[good_id].state == JobState.DONE
+        assert jobs[good_id].result is not None
+        fresh_id, deduped = store.submit(_spec("bad"), "fp-bad")
+        assert not deduped and fresh_id != bad_id
+
 
 class TestDaemonSupervisor:
     def test_in_process_end_to_end(self, tmp_path):

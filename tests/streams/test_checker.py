@@ -285,6 +285,49 @@ def test_benign_ww_same_value_is_reported_benign():
     assert not report.has_issues
 
 
+def test_benign_first_copy_does_not_hide_a_harmful_one():
+    """Both launches write 7 on the loop's first trip and their own
+    scalar on the second: the first pair checked collides benignly, a
+    later copy of the same line pair writes different values."""
+    source = """
+__global__ void fill(int *buf, int v) {
+  for (int k = 0; k < 2; k++) {
+    buf[threadIdx.x] = (k == 0) ? 7 : v;
+  }
+}"""
+    prog = StreamProgram(
+        name="benign_then_harmful", source=source, buffers={"buf": 64},
+        steps=[Launch("fill", stream=0, args={"buf": "buf"},
+                      scalar_values={"v": 1}),
+               Launch("fill", stream=1, args={"buf": "buf"},
+                      scalar_values={"v": 2})])
+    report = check_stream(prog)
+    assert sorted(r.benign for r in report.inter_launch_races) == \
+        [False, True]
+    assert report.has_issues
+
+
+def test_cached_launch_pair_replays_under_its_own_launches(tmp_path):
+    """Three launches of one kernel on three streams: every launch pair
+    has the same content, so two of them are served by the entry the
+    first one wrote, and each must still name its own launches."""
+    prog = StreamProgram(
+        name="three_writers", buffers={"f": 64},
+        source="__global__ void mark(int *f) "
+               "{ f[threadIdx.x] = threadIdx.x + 1; }",
+        steps=[Launch("mark", stream=s, args={"f": "f"})
+               for s in range(3)])
+    cold = check_stream(prog)
+    cached = check_stream(prog, cache=ResultCache(str(tmp_path)))
+    assert cached.stats.pair_cache_hits == 2
+
+    def pairs(report):
+        return sorted((r.launch1, r.launch2, r.benign)
+                      for r in report.inter_launch_races)
+    assert pairs(cached) == pairs(cold) == \
+        [(0, 1, True), (0, 2, True), (1, 2, True)]
+
+
 def test_time_budget_zero_reports_timeout_not_crash():
     report = check_stream(_pipeline(),
                           config=LaunchConfig(time_budget_seconds=1e-9))

@@ -9,8 +9,9 @@ source lines and benign flags — must be identical to raw enumeration.
 Signatures are deduplicated sets, not lists: summarization legitimately
 merges N same-instruction pairs into one reported race, so the on/off
 runs may differ in duplicate *report multiplicity* but never in which
-(kind, object, line-pair, benign) verdicts exist. ``max_reports`` is
-raised so neither mode truncates reports.
+(kind, object, line-pair, benign) verdicts exist. The default report
+cap counts distinct races and is above every kernel's count here, so
+neither mode truncates reports.
 """
 import pytest
 
@@ -39,7 +40,7 @@ def _kernel(suite, name):
     raise KeyError(f"{suite}/{name}")
 
 
-def _run(suite, name, pruning, max_reports=64):
+def _run(suite, name, pruning):
     spec = spec_from_kernel(_kernel(suite, name), suite=suite)
     config = spec.launch_config()
     config.pair_pruning = pruning
@@ -47,7 +48,7 @@ def _run(suite, name, pruning, max_reports=64):
     # raw/pruned comparison actually exercises the pair pruner
     config.static_tier = False
     tool = SESA.from_source(spec.source, spec.kernel_name)
-    return tool.check(config, max_reports=max_reports)
+    return tool.check(config)
 
 
 def _signature(report):

@@ -22,8 +22,8 @@ from repro.smt import evaluate
 from repro.smt.subst import EvaluationError
 
 # one representative per behaviour class across the three gated
-# suites: racy, clean/safe, benign-WW, report-capped (reduce4 hits
-# max_reports), loop-unrolled and divergence-heavy
+# suites: racy, clean/safe, benign-WW, many distinct races (reduce4
+# reports 20), loop-unrolled and divergence-heavy
 KERNELS = [
     ("paper", "race_example"),
     ("paper", "reduction_racy"),
@@ -93,9 +93,10 @@ def test_scheduler_swarm_matches_monolithic(suite, name, shards,
 
 
 def test_swarm_race_lists_replay_monolithic_order(mono_verdicts):
-    """Beyond set equality: on the report-capped kernel the merged
-    race list must reproduce the monolithic list ordinal-for-ordinal
-    (the 'first N SAT pairs in enumeration order' contract)."""
+    """Beyond set equality: on the kernel with the most distinct races
+    the merged race list must reproduce the monolithic list
+    ordinal-for-ordinal (the merge replays the one-report-per-distinct-
+    race rule over the shard races in ordinal order)."""
     spec = _spec("reductions", "reduce4")
     mono = mono_verdicts[("reductions", "reduce4")]
     for shards in (2, 8):
