@@ -41,7 +41,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from .core import GKLEE, GKLEEp, SESA, LaunchConfig
-from .frontend import LexError, ParseError, SemaError
+from .frontend import SOURCE_ERRORS
 
 
 def _read_source(path: str) -> str:
@@ -663,6 +663,7 @@ def cmd_ir(args) -> int:
     flow-merging annotations (combine / combine_ite / split)."""
     from .ir import module_to_str
     from .passes import annotate_flow_merging
+    # the annotations are IR writes: a compile of the tool's own
     tool = SESA.from_source(_read_source(args.file), args.kernel)
     annotate_flow_merging(tool.kernel, tool.taint)
     print(module_to_str(tool.module))
@@ -1099,7 +1100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "cache": cmd_cache, "stream": cmd_stream}[args.command]
     try:
         return handler(args)
-    except (LexError, ParseError, SemaError) as exc:
+    except SOURCE_ERRORS as exc:
         target = getattr(args, "file", "<input>")
         print(f"repro: {target}: {exc}", file=sys.stderr)
         return 2

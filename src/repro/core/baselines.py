@@ -19,30 +19,16 @@ import itertools
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from .. import ir
-from ..frontend import compile_source
-from ..passes import standard_pipeline
 from ..smt import mk_and, mk_bv, mk_bv_var, mk_eq
 from ..sym import (
     MAX_REPORTS, Executor, LaunchConfig, RaceChecker, analyze_resolvability,
 )
 from .report import AnalysisReport
+from .sesa import Engine
 
 
-class GKLEEp:
+class GKLEEp(Engine):
     """Parametric engine without SESA's two innovations."""
-
-    def __init__(self, module: ir.Module,
-                 kernel_name: Optional[str] = None) -> None:
-        self.module = module
-        self.kernel = module.get_kernel(kernel_name)
-
-    @classmethod
-    def from_source(cls, source: str,
-                    kernel_name: Optional[str] = None) -> "GKLEEp":
-        module = compile_source(source)
-        standard_pipeline().run(module)
-        return cls(module, kernel_name)
 
     def default_symbolic_inputs(self) -> Set[str]:
         """A typical GKLEEp user symbolises every data input (the paper:
@@ -72,7 +58,7 @@ class GKLEEp:
             elapsed_seconds=time.perf_counter() - start)
 
 
-class GKLEE:
+class GKLEE(Engine):
     """Explicit-thread oracle for small configurations.
 
     Enumerates all ordered pairs of concrete threads and re-checks the
@@ -80,18 +66,6 @@ class GKLEE:
     resolvable kernels of §IV-B this agrees with SESA by the Proposition;
     the property-based soundness suite exercises exactly that.
     """
-
-    def __init__(self, module: ir.Module,
-                 kernel_name: Optional[str] = None) -> None:
-        self.module = module
-        self.kernel = module.get_kernel(kernel_name)
-
-    @classmethod
-    def from_source(cls, source: str,
-                    kernel_name: Optional[str] = None) -> "GKLEE":
-        module = compile_source(source)
-        standard_pipeline().run(module)
-        return cls(module, kernel_name)
 
     def check(self, config: Optional[LaunchConfig] = None,
               solver_budget: Optional[int] = 100_000,

@@ -19,8 +19,7 @@ import time
 from typing import Dict, List, Optional, Set
 
 from .. import ir
-from ..frontend import compile_source
-from ..passes import analyze_taint, standard_pipeline
+from ..passes import analyze_taint, compile_module
 from ..passes.taint import TaintReport
 from ..smt import CheckResult, Solver
 from ..static import run_static_tier, static_reason
@@ -31,22 +30,36 @@ from ..sym import (
 from .report import AnalysisReport
 
 
-class SESA:
-    """Symbolic Executor with Static Analysis."""
+class Engine:
+    """One kernel of a compiled module: what every engine checks."""
 
     def __init__(self, module: ir.Module,
                  kernel_name: Optional[str] = None) -> None:
         self.module = module
         self.kernel = module.get_kernel(kernel_name)
-        self._taint: Optional[TaintReport] = None
 
     @classmethod
-    def from_source(cls, source: str,
-                    kernel_name: Optional[str] = None) -> "SESA":
-        """Compile MiniCUDA source and run the static pipeline."""
-        module = compile_source(source)
-        standard_pipeline().run(module)
-        return cls(module, kernel_name)
+    def from_source(cls, source: str, kernel_name: Optional[str] = None):
+        """A tool over a module of its own: callers may rewrite it."""
+        return cls(compile_module(source), kernel_name)
+
+    @classmethod
+    def from_compiled(cls, compiled, kernel_name: Optional[str] = None):
+        """A tool over a shared, read-only
+        :class:`~repro.service.cache.CompiledModule`."""
+        return cls(compiled.module, kernel_name)
+
+
+class SESA(Engine):
+    """Symbolic Executor with Static Analysis."""
+
+    _taint: Optional[TaintReport] = None
+
+    @classmethod
+    def from_compiled(cls, compiled, kernel_name: Optional[str] = None):
+        tool = super().from_compiled(compiled, kernel_name)
+        tool._taint = compiled.taint(tool.kernel.name)
+        return tool
 
     # ------------------------------------------------------------------
 

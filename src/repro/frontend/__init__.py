@@ -8,7 +8,11 @@ from .parser import ParseError, parse
 from .sema import SemaError, const_eval, resolve_type
 from .codegen import CodeGen, CodeGenError, compile_source
 
+#: a source that does not compile: an input error, not an analysis error
+SOURCE_ERRORS = (LexError, ParseError, SemaError)
+
 __all__ = [
+    "SOURCE_ERRORS",
     "LexError", "Token", "tokenize", "ParseError", "parse", "SemaError",
     "const_eval", "resolve_type", "CodeGen", "CodeGenError",
     "compile_source",

@@ -1,5 +1,7 @@
 """Static analysis passes (the paper's §V pipeline)."""
-from .manager import PassManager, remove_unreachable_blocks, standard_pipeline
+from .manager import (
+    PassManager, compile_module, remove_unreachable_blocks, standard_pipeline,
+)
 from .mem2reg import mem2reg
 from .usedef import UseDef
 from .liveness import Liveness
@@ -14,7 +16,8 @@ from .uniform import UniformityAnalysis, check_barrier_uniformity
 from .annotate import annotate_flow_merging
 
 __all__ = [
-    "PassManager", "remove_unreachable_blocks", "standard_pipeline",
+    "PassManager", "compile_module", "remove_unreachable_blocks",
+    "standard_pipeline",
     "mem2reg", "UseDef", "Liveness", "address_space", "gep_chain",
     "index_values", "is_shared_or_global", "root_object",
     "ControlDependence", "InputVerdict", "TaintAnalysis", "TaintReport",

@@ -1,9 +1,8 @@
 """Pass manager: runs IR passes in order and records what ran.
 
 The standard SESA pipeline (mirroring §V) is ``standard_pipeline``:
-front-end inlining already happened, so the IR passes are CFG cleanup,
-mem2reg (SSA construction), and the taint analysis that annotates the
-module for the executor.
+front-end inlining already happened, so the IR passes are CFG cleanup
+and mem2reg (SSA construction).
 """
 from __future__ import annotations
 
@@ -58,3 +57,12 @@ def standard_pipeline() -> PassManager:
     pm.add(remove_unreachable_blocks)
     pm.add(mem2reg)
     return pm
+
+
+def compile_module(source: str) -> Module:
+    """Compile MiniCUDA *source* and run the standard pipeline: a fresh
+    module that the caller owns and may rewrite."""
+    from ..frontend import compile_source
+    module = compile_source(source)
+    standard_pipeline().run(module)
+    return module

@@ -21,12 +21,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..frontend import compile_source
-from ..passes import (
-    analyze_taint, check_barrier_uniformity, standard_pipeline,
-)
+from ..passes import check_barrier_uniformity
 from ..smt import QueryMemo
-from ..sym import MAX_REPORTS, Executor, LaunchConfig, RaceChecker
+from ..sym import MAX_REPORTS, LaunchConfig, RaceChecker
 from .candidates import CandidateGenerator, InsertionPoint, barrier_removals
 from .diff import RenderError, SourceEdit, apply_edits, render_diff
 from .rewriter import IRRewriter, RewriteError
@@ -205,10 +202,11 @@ class RepairEngine:
         self.remove_redundant = remove_redundant
         self.time_budget_seconds = time_budget_seconds
 
-        self.module = compile_source(source)
-        standard_pipeline().run(self.module)
-        self.kernel = self.module.get_kernel(kernel_name)
-        self.taint = analyze_taint(self.kernel)
+        # the loop rewrites this IR: a tool of its own (lazy import —
+        # repro.core re-exports this package)
+        from ..core.sesa import SESA
+        self.tool = SESA.from_source(source, kernel_name)
+        self.kernel = self.tool.kernel
         self.rewriter = IRRewriter(self.kernel)
         # the warm re-check machinery the whole loop shares
         self._sessions: Dict[tuple, object] = {}
@@ -218,19 +216,12 @@ class RepairEngine:
         # which runs the user's config unmodified
         self.check_config = replace(self.user_config.copy(),
                                     check_oob=False)
-        if self.check_config.symbolic_inputs is None:
-            self.check_config.symbolic_inputs = {
-                name for name, v in self.taint.verdicts.items()
-                if v.is_pointer and v.flows_into_address}
 
     # ------------------------------------------------------------------
 
     def _recheck(self, res: RepairResult):
         """Execute + race-check the current IR on the shared sessions."""
-        executor = Executor(self.module, self.kernel, self.check_config,
-                            mode="sesa",
-                            sink_value_ids=self.taint.sink_value_ids)
-        result = executor.run()
+        result = self.tool.execute(self.check_config)
         checker = _CopyChecker(
             result, solver_budget=self.solver_budget,
             max_reports=self.max_reports,
@@ -382,19 +373,16 @@ class RepairEngine:
         res.patched_source = patched
         res.diff = render_diff(self.source, patched,
                                name=f"{self.kernel.name}.cu")
-        # ground truth: recompile the patched source and check it from
-        # scratch at the user's launch config (lazy import — repro.core
-        # re-exports this package)
-        from ..core.sesa import check_source
-        report = check_source(patched, config=self.user_config.copy(),
-                              kernel_name=self.kernel_name)
+        # ground truth: compile the patched source once and check it
+        # from scratch at the user's launch config (lazy import —
+        # repro.core re-exports this package)
+        from ..core.sesa import SESA
+        tool = SESA.from_source(patched, self.kernel_name)
+        report = tool.check(self.user_config.copy())
         res.verification = report.to_dict()
         diverged = bool(report.execution
                         and self._diverged(report.execution))
-        patched_mod = compile_source(patched)
-        standard_pipeline().run(patched_mod)
-        audit = check_barrier_uniformity(
-            patched_mod.get_kernel(self.kernel_name))
+        audit = check_barrier_uniformity(tool.kernel)
         res.warnings.extend(audit)
         if report.has_oob:
             res.warnings.append(

@@ -9,9 +9,10 @@ operation:
   (:class:`JobSpec` in, :class:`JobResult` out);
 * :mod:`~repro.service.scheduler` — a parallel, fault-isolating
   scheduler (process-per-job, hard timeouts, bounded retries);
-* :mod:`~repro.service.cache` — job verdicts in the one
-  content-keyed store (:mod:`repro.store`), keyed on (canonical IR
-  with source locations, config, engine, checker code digest);
+* :mod:`~repro.service.cache` — the one content-keyed store
+  (:class:`ResultCache`): job verdicts keyed on (canonical IR with
+  source locations, config, engine, checker code digest), and the one
+  compile per source those keys and the checks read;
 * :mod:`~repro.service.telemetry` — structured JSONL event traces
   plus aggregate summaries;
 * :mod:`~repro.service.corpus` — enumeration of the built-in paper

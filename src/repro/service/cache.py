@@ -1,4 +1,4 @@
-"""Content-addressed result cache for batch analysis.
+"""The one on-disk store, and one compile per source.
 
 A verdict is a pure function of *(canonical form, launch
 configuration, engine, checker code)* — so that 4-tuple, hashed, is the
@@ -12,83 +12,327 @@ entry written by other analysis code is never served. Every record key
 stored here — job, swarm, stream launch and launch pair — comes from
 the one :func:`content_key`, tagged with its kind.
 
-Computing the canonical form costs a compile, so :func:`cache_key`
-memoises it per process: a bounded LRU maps ``sha256(source)`` to
-``sha256(canonical form)``, and each distinct source is compiled once.
+A process compiles each source once, into a :class:`CompiledModule`
+kept in a bounded LRU. :func:`cache_key` reads its digest; readers that
+never write IR share it through :func:`shared_module`. A caller that
+rewrites IR compiles its own module (:func:`repro.passes.
+compile_module`).
 
-Entries live in the one content-keyed store
-(:class:`repro.store.ResultCache`). The stored verdict is
-byte-for-byte what the worker produced, so a cache hit reproduces the
-original verdict exactly. Job and launch verdicts go in and out only
-as :class:`~repro.service.jobs.JobResult` records, through
-:func:`put_result` (which stores only a completed, not timed-out
-verdict) and :func:`get_result`. An entry that does not parse, or
-parses to the wrong shape, is a miss: the job is re-checked cold.
+Entries are JSON files under ``cache_dir/ab/abcdef....json``, written
+by atomic rename; :meth:`ResultCache.lookup` is the one read path. The
+stored verdict is byte-for-byte what the worker produced, so a cache
+hit reproduces the original verdict exactly. Job and launch verdicts
+go in and out only as :class:`~repro.service.jobs.JobResult` records,
+through :func:`put_result` (which stores only a completed, not
+timed-out verdict) and :func:`get_result`. An entry that does not
+parse, or parses to the wrong shape, is a miss: the job is re-checked
+cold.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
+import time
 from collections import OrderedDict
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
-from ..store import ResultCache, content_key
+from .. import code_digest
+from ..ir import Module, function_to_str, instruction_locs, module_to_str
+from ..passes import TaintReport, analyze_taint, compile_module
 from .jobs import JobResult, JobSpec, JobStatus
 
-#: distinct sources whose canonical-form digest :func:`cache_key` keeps
-FORM_MEMO_SIZE = 1024
+#: a reader's shape check: ``None`` if the payload is usable, else why not
+Check = Callable[[dict], Optional[str]]
 
-_form_memo: "OrderedDict[str, str]" = OrderedDict()
+
+def content_key(kind: str, **material) -> str:
+    """The one content-key scheme: SHA-256 over the sorted JSON of
+    *material*, tagged with its *kind* and :func:`repro.code_digest`.
+    Keys of different kinds never collide, even on equal material, so
+    every kind can share one :class:`ResultCache`."""
+    blob = json.dumps(dict(material, kind=kind, code=code_digest()),
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _is_entry_file(name: str) -> bool:
+    """An entry, or the temp file of a write that never finished (a
+    writer killed mid-:meth:`ResultCache.put` leaves one behind)."""
+    return name.endswith(".json") or ".json.tmp." in name
+
+
+class ResultCache:
+    """JSON-on-disk content-keyed store with hit/miss accounting."""
+
+    def __init__(self, cache_dir: str) -> None:
+        self.cache_dir = cache_dir
+        self.hits = 0
+        self.misses = 0
+        self._lock = threading.Lock()
+        os.makedirs(cache_dir, exist_ok=True)
+
+    # ------------------------------------------------------------------
+
+    def _path(self, key: str) -> str:
+        return os.path.join(self.cache_dir, key[:2], key + ".json")
+
+    def lookup(self, key: str, check: Optional[Check] = None
+               ) -> Tuple[Optional[dict], Optional[str]]:
+        """``(payload, None)`` on a hit, ``(None, None)`` on a plain
+        miss (no entry), ``(None, reason)`` on a damaged entry: one that
+        does not parse, is not a JSON object, or that *check* (the
+        reader's shape check) rejects. Both kinds of miss count as
+        misses."""
+        reason = None
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except FileNotFoundError:
+            payload = None
+        except (OSError, ValueError) as exc:
+            payload, reason = None, f"unreadable ({exc})"
+        else:
+            if not isinstance(payload, dict):
+                reason = "not a JSON object"
+            elif check is not None:
+                reason = check(payload)
+        hit = payload is not None and reason is None
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+        return (payload, None) if hit else (None, reason)
+
+    def get(self, key: str, check: Optional[Check] = None
+            ) -> Optional[dict]:
+        """The stored payload, or ``None`` on a miss: a damaged entry
+        is a miss too, so the caller re-checks cold."""
+        return self.lookup(key, check)[0]
+
+    def put(self, key: str, payload: dict) -> bool:
+        """Persist *payload* (atomic rename; last writer wins). Returns
+        whether it was stored: a write that fails with an ``OSError``
+        (full disk, unwritable directory) removes its temp file and
+        returns False, since a store that cannot write only costs a
+        later re-check."""
+        path = self._path(key)
+        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except OSError:
+            self._remove(tmp)
+            return False
+        return True
+
+    # ------------------------------------------------------------------
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses,
+                "lookups": self.lookups, "dir": self.cache_dir}
+
+    # ------------------------------------------------------------------
+    # operational maintenance (``repro cache`` / long-running daemons)
+    # ------------------------------------------------------------------
+
+    def _iter_entries(self):
+        """(path, size_bytes, mtime) for every entry on disk, and for
+        every temp file an interrupted write left behind."""
+        for fanout in sorted(os.listdir(self.cache_dir)):
+            subdir = os.path.join(self.cache_dir, fanout)
+            if len(fanout) != 2 or not os.path.isdir(subdir):
+                continue
+            for name in sorted(os.listdir(subdir)):
+                if not _is_entry_file(name):
+                    continue
+                path = os.path.join(subdir, name)
+                try:
+                    st = os.stat(path)
+                except OSError:
+                    continue   # pruned concurrently
+                yield path, st.st_size, st.st_mtime
+
+    def disk_stats(self) -> dict:
+        """What is actually on disk (entry count, bytes, age span)."""
+        entries = bytes_total = 0
+        oldest = newest = None
+        now = time.time()
+        for _path, size, mtime in self._iter_entries():
+            entries += 1
+            bytes_total += size
+            age = now - mtime
+            oldest = age if oldest is None else max(oldest, age)
+            newest = age if newest is None else min(newest, age)
+        return {"dir": self.cache_dir, "entries": entries,
+                "bytes": bytes_total,
+                "oldest_age_seconds": (round(oldest, 3)
+                                       if oldest is not None else None),
+                "newest_age_seconds": (round(newest, 3)
+                                       if newest is not None else None)}
+
+    def prune(self, max_age_seconds: Optional[float] = None,
+              max_bytes: Optional[int] = None) -> dict:
+        """Bound the cache directory for long-running daemons.
+
+        Two independent policies, applied in order: entries older than
+        *max_age_seconds* are always evicted; then, if the survivors
+        still exceed *max_bytes*, the oldest are evicted until the
+        total fits (classic LRU-by-mtime — ``get`` does not bump
+        mtimes, so this is strictly eviction by write age).
+        """
+        now = time.time()
+        survivors = []
+        removed = freed = 0
+        for path, size, mtime in self._iter_entries():
+            if max_age_seconds is not None \
+                    and now - mtime > max_age_seconds:
+                removed += 1
+                freed += size
+                self._remove(path)
+            else:
+                survivors.append((mtime, size, path))
+        if max_bytes is not None:
+            survivors.sort()   # oldest first
+            total = sum(size for _mtime, size, _path in survivors)
+            while survivors and total > max_bytes:
+                _mtime, size, path = survivors.pop(0)
+                removed += 1
+                freed += size
+                total -= size
+                self._remove(path)
+        return {"removed": removed, "freed_bytes": freed,
+                "kept": len(survivors), "dir": self.cache_dir}
+
+    @staticmethod
+    def _remove(path: str) -> None:
+        try:
+            os.remove(path)
+        except OSError:
+            pass   # already gone — eviction is idempotent
+
+
+# ----------------------------------------------------------------------
+# one compile per source
+# ----------------------------------------------------------------------
+
+#: distinct sources whose :class:`CompiledModule` a process keeps
+FORM_MEMO_SIZE = 256
+
+_form_memo: "OrderedDict[str, CompiledModule]" = OrderedDict()
 _form_lock = threading.Lock()
+
+
+@dataclass(frozen=True)
+class CompiledModule:
+    """One source compiled once, shared by every reader in the process:
+    readers must not write its IR, which the digest and the per-kernel
+    facts were computed from. A source that does not compile has no
+    module, and its compile failure as :attr:`error`."""
+
+    digest: str                      # sha256 of the canonical form
+    module: Optional[Module] = None
+    error: Optional[Exception] = None
+    #: kernel name -> (taint report, launch-key slice), filled on first
+    #: use: a cache-key lookup needs neither
+    _kernels: Dict[str, Tuple[TaintReport, str]] = field(
+        default_factory=dict, repr=False)
+
+    def taint(self, kernel: str) -> TaintReport:
+        """The kernel's §V taint report."""
+        return self._facts(kernel)[0]
+
+    def kernel_slice(self, kernel: str) -> str:
+        """What one stream launch of the kernel is keyed on: its own
+        IR, the module globals (any kernel may touch them) and its
+        instruction locations (the verdict names source lines)."""
+        return self._facts(kernel)[1]
+
+    def _facts(self, kernel: str) -> Tuple[TaintReport, str]:
+        with _form_lock:
+            if kernel not in self._kernels:
+                fn = self.module.functions[kernel]
+                lines = [f"{gv.name} {gv.storage_type!r} {gv.space}"
+                         for gv in self.module.globals.values()]
+                lines += [function_to_str(fn),
+                          f"; locs {instruction_locs(fn)}"]
+                self._kernels[kernel] = (analyze_taint(fn),
+                                         "\n".join(lines))
+            return self._kernels[kernel]
+
+
+def _form_text(module: Module) -> str:
+    locs = [f"; locs @{fn.name}: {instruction_locs(fn)}"
+            for fn in module.functions.values()]
+    return "\n".join([module_to_str(module)] + locs)
 
 
 def canonical_form(source: str) -> str:
     """The post-pipeline SSA bytecode for *source*, followed by every
-    instruction's ``line:col`` in IR order (cache-key input).
+    instruction's ``line:col`` in IR order, from a fresh compile.
 
     Falls back to the raw source text when compilation fails — the job
     will fail identically in the worker, and that failure is just as
     deterministic a function of the source.
     """
     try:
-        from ..frontend import compile_source
-        from ..ir import instruction_locs, module_to_str
-        from ..passes import standard_pipeline
-        module = compile_source(source)
-        standard_pipeline().run(module)
+        return _form_text(compile_module(source))
     except Exception:
         return f"<uncompilable>\n{source}"
-    locs = [f"; locs @{fn.name}: {instruction_locs(fn)}"
-            for fn in module.functions.values()]
-    return "\n".join([module_to_str(module)] + locs)
 
 
-def form_digest(source: str) -> str:
-    """``sha256(canonical_form(source))``, compiled once per distinct
-    source per process (LRU of :data:`FORM_MEMO_SIZE` entries).
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    The compile runs under the memo's lock, so threads asking for the
-    same new source compile it once between them.
-    """
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+def _compile(source: str) -> CompiledModule:
+    try:
+        module = compile_module(source)
+    except Exception as exc:
+        return CompiledModule(_sha256(f"<uncompilable>\n{source}"),
+                              error=exc.with_traceback(None))
+    return CompiledModule(_sha256(_form_text(module)), module)
+
+
+def _record(source: str) -> CompiledModule:
+    """*source*'s record, compiled on first use (LRU of
+    :data:`FORM_MEMO_SIZE` entries). The compile runs under the memo's
+    lock, so threads asking for the same new source compile it once
+    between them."""
+    key = _sha256(source)
     with _form_lock:
-        digest = _form_memo.get(key)
-        if digest is None:
-            digest = hashlib.sha256(
-                canonical_form(source).encode("utf-8")).hexdigest()
-            _form_memo[key] = digest
+        record = _form_memo.get(key)
+        if record is None:
+            record = _form_memo[key] = _compile(source)
             while len(_form_memo) > FORM_MEMO_SIZE:
                 _form_memo.popitem(last=False)
         else:
             _form_memo.move_to_end(key)
-    return digest
+    return record
+
+
+def shared_module(source: str) -> CompiledModule:
+    """The shared compile of *source*; raises its compile failure, the
+    same exception to every caller."""
+    record = _record(source)
+    if record.error is not None:
+        raise record.error.with_traceback(None)
+    return record
 
 
 def cache_key(spec: JobSpec) -> str:
     """Key of one job's verdict: (canonical form, config fingerprint
     with the engine, checker code)."""
-    return content_key("job", form=form_digest(spec.source),
+    return content_key("job", form=_record(spec.source).digest,
                        config=spec.config_fingerprint())
 
 

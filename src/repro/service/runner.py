@@ -16,7 +16,8 @@ Payload shape (:meth:`JobResult.to_dict`)::
      "elapsed_seconds": float, "error": str|None,
      "attempts": 1, "cached": false, "cache_key": null}
 
-plus ``"validation_error": true`` for a malformed spec.
+plus ``"validation_error": true`` for a malformed spec or a source
+that does not compile.
 
 The function lives at module top level so worker processes can reach
 it by import, and so tests can swap in their own runner (crashing,
@@ -37,6 +38,8 @@ import time
 import traceback
 from typing import Callable, Optional, Tuple
 
+from ..frontend import SOURCE_ERRORS
+from .cache import shared_module
 from .jobs import (
     ENGINE_NAMES, JobResult, JobSpec, JobStatus, JobValidationError,
 )
@@ -70,6 +73,10 @@ def execute_job(spec_dict: dict) -> dict:
         # that the daemon records as a non-retryable ``failed`` job and
         # the CLI maps to exit code 2
         result = JobResult.failure(str(exc), validation_error=True)
+    except SOURCE_ERRORS as exc:
+        result = JobResult.failure(
+            f"invalid job spec {spec.job_id!r}: {exc}",
+            validation_error=True)
     except Exception:
         result = JobResult.failure(traceback.format_exc(limit=8))
     result.elapsed_seconds = time.perf_counter() - start
@@ -79,7 +86,8 @@ def execute_job(spec_dict: dict) -> dict:
 def _execute_kernel_job(spec: JobSpec) -> JobResult:
     """Run one ``kernel`` job (and its repair loop, if asked)."""
     engine_cls = _engine_class(spec.engine)
-    tool = engine_cls.from_source(spec.source, spec.kernel_name)
+    tool = engine_cls.from_compiled(shared_module(spec.source),
+                                    spec.kernel_name)
     report = tool.check(spec.launch_config())
     if hasattr(tool, "inferred_symbolic_inputs"):      # SESA
         inputs = {"symbolic": len(tool.inferred_symbolic_inputs()),

@@ -1,8 +1,9 @@
 """Swarm orchestration: run one kernel's race check as shard jobs.
 
-The planner (:func:`plan_shard_specs`) compiles and symbolically
-executes the kernel **once** on the coordinator side — no SAT solving
-— to enumerate the canonical pair groups, partitions them with
+The planner (:func:`plan_shard_specs`) symbolically executes the
+kernel **once** on the coordinator side, over the shared compile that
+:func:`swarm_cache_key` already made — no SAT solving — to enumerate
+the canonical pair groups, partitions them with
 :func:`repro.sym.swarm.plan_partitions`, and emits one ordinary
 :class:`JobSpec` per shard. Shards run through the existing
 process-isolated :class:`~repro.service.scheduler.Scheduler` (or the
@@ -26,6 +27,7 @@ from ..sym.swarm import (
 )
 from .cache import (
     ResultCache, cache_key, content_key, get_result, put_result,
+    shared_module,
 )
 from .jobs import JobResult, JobSpec, JobStatus
 from .runner import execute_job
@@ -65,7 +67,8 @@ def plan_shard_specs(spec: JobSpec, num_shards: int,
         raise SwarmPlanError("repair jobs cannot be sharded")
     try:
         from ..core import SESA
-        tool = SESA.from_source(spec.source, spec.kernel_name)
+        tool = SESA.from_compiled(shared_module(spec.source),
+                                  spec.kernel_name)
         groups = tool.plan_check_groups(spec.launch_config())
     except SwarmPlanError:
         raise

@@ -8,7 +8,10 @@ two symbolic threads stand in for the full cross product of the two
 launches' thread spaces, each drawn from its *own* launch configuration
 (grids and blocks may differ per launch).
 
-Per launch, the existing :meth:`SESA.check` pipeline runs unchanged,
+The program's source is compiled once per process
+(:func:`~repro.service.cache.shared_module`), and every launch reads
+that one record. Per launch, the existing :meth:`SESA.check` pipeline
+runs unchanged,
 under the stream's one base :class:`~repro.sym.LaunchConfig` with the
 launch's own geometry, scalars and buffer sizes — static tier, pruning,
 warp policy and budgets all apply — producing the per-launch verdict
@@ -55,10 +58,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import ir
 from ..core.sesa import SESA
-from ..frontend import compile_source
-from ..ir import function_to_str, instruction_locs
-from ..passes import standard_pipeline
-from ..service.cache import content_key, get_result, put_result
+from ..service.cache import (
+    CompiledModule, content_key, get_result, put_result, shared_module,
+)
 from ..service.jobs import JobResult, JobStatus
 from ..smt import SolverStats
 from ..sym import LaunchConfig
@@ -90,29 +92,24 @@ def check_base_config(config: LaunchConfig) -> None:
         raise ValueError("a stream program cannot be sharded")
 
 
-def launch_fingerprint(module: ir.Module, launch: Launch,
+def launch_fingerprint(module: CompiledModule, launch: Launch,
                        config: LaunchConfig) -> str:
     """Cache key for one launch's verdict.
 
-    Hashes the launch's *own* kernel IR slice (plus module globals —
-    any kernel may touch them) with its instruction locations (the
-    verdict names source lines), :func:`repro.code_digest`, and the
-    launch's config fingerprint (:meth:`LaunchConfig.fingerprint`: its
-    geometry and value maps plus every stream-wide setting). The one
-    field dropped is the wall-clock budget: a non-timed-out budgeted
-    verdict equals the unbudgeted one, and timed-out verdicts are never
-    cached.
+    Hashes the launch's *own* kernel slice of the compiled *module*
+    (its IR, the module globals — any kernel may touch them — and its
+    instruction locations: the verdict names source lines),
+    :func:`repro.code_digest`, and the launch's config fingerprint
+    (:meth:`LaunchConfig.fingerprint`: its geometry and value maps plus
+    every stream-wide setting). The one field dropped is the wall-clock
+    budget: a non-timed-out budgeted verdict equals the unbudgeted one,
+    and timed-out verdicts are never cached.
     """
-    kernel = module.get_kernel(launch.kernel)
-    globals_slice = [f"{gv.name} {gv.storage_type!r} {gv.space}"
-                     for gv in module.globals.values()]
-    ir_slice = "\n".join(globals_slice + [function_to_str(kernel)])
     fingerprint = config.fingerprint()
     del fingerprint["time_budget_seconds"]
     return content_key(
         "stream_launch",
-        ir=ir_slice,
-        locs=instruction_locs(kernel),
+        ir=module.kernel_slice(launch.kernel),
         kernel=launch.kernel,
         config=fingerprint)
 
@@ -405,10 +402,9 @@ class StreamChecker(PairDischarge):
             telemetry = Telemetry()
         self.telemetry = telemetry
         self.max_reports = max_reports
-        self.module = compile_source(program.source)
-        standard_pipeline().run(self.module)
-        program.validate(self.module)
-        self._sesa: Dict[str, SESA] = {}
+        program.validate()
+        #: the program's shared, read-only compile
+        self.module = shared_module(program.source)
         self._keys = ReportKeys()
         self.stats = StreamStats()
         self.warnings: List[str] = []
@@ -416,13 +412,6 @@ class StreamChecker(PairDischarge):
     # ------------------------------------------------------------------
     # per-launch pipeline
     # ------------------------------------------------------------------
-
-    def _sesa_for(self, kernel_name: str) -> SESA:
-        tool = self._sesa.get(kernel_name)
-        if tool is None:
-            tool = SESA(self.module, kernel_name)
-            self._sesa[kernel_name] = tool
-        return tool
 
     def _config_for(self, launch: Launch) -> LaunchConfig:
         budget = None
@@ -442,7 +431,7 @@ class StreamChecker(PairDischarge):
                     need_accesses: bool
                     ) -> Tuple[LaunchOutcome, Optional[_LaunchSide]]:
         start = time.perf_counter()
-        sesa = self._sesa_for(launch.kernel)
+        sesa = SESA.from_compiled(self.module, launch.kernel)
         config = self._config_for(launch)
         fingerprint = launch_fingerprint(self.module, launch, config)
         hit = get_result(self.cache, fingerprint, launch.name) \

@@ -148,7 +148,7 @@ class StreamProgram:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self, module=None) -> None:
+    def validate(self) -> None:
         """Reject programs that can never run
         (:class:`StreamProgramError`): no launches, undeclared buffers,
         kernels/parameters the compiled module does not have."""
@@ -171,11 +171,8 @@ class StreamProgram:
                     raise StreamProgramError(
                         f"launch {launch.name!r} binds {param!r} to "
                         f"undeclared buffer {buf!r}")
-        if module is None:
-            from ..frontend import compile_source
-            from ..passes import standard_pipeline
-            module = compile_source(self.source)
-            standard_pipeline().run(module)
+        from ..service.cache import shared_module
+        module = shared_module(self.source).module
         from .. import ir
         for launch in launches:
             try:

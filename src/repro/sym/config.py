@@ -125,10 +125,10 @@ class LaunchConfig:
     #: :data:`DEFAULT_CONFLICT_BUDGET`; any other value also keeps the
     #: solver-less static tier out of the way.
     solver_conflict_budget: Optional[int] = None
-    #: the :class:`repro.store.ResultCache` directory for a stream
-    #: job's launch and launch-pair verdicts (the wire name predates
-    #: that use). ``None``: a stream job replays nothing. This is a
-    #: pure accelerator: it is deliberately NOT part of any cache
+    #: the :class:`repro.service.cache.ResultCache` directory for a
+    #: stream job's launch and launch-pair verdicts (the wire name
+    #: predates that use). ``None``: a stream job replays nothing. This
+    #: is a pure accelerator: it is deliberately NOT part of any cache
     #: fingerprint, because it must never change a verdict.
     solver_cache_dir: Optional[str] = None
 

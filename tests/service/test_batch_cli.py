@@ -120,6 +120,19 @@ class TestBatchCli:
         assert err.startswith("repro: ") and "not-a-dir" in err
         assert "Traceback" not in err
 
+    def test_uncompilable_source_is_a_one_line_input_error(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.cu"
+        bad.write_text("__global__ void k(float *a) { a[threadIdx.x] = ; }\n")
+        code = main(["batch", str(bad), "--no-cache", "--json",
+                     "--trace", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert job["status"] == "error"
+        assert job["validation_error"] is True
+        assert job["error"] == (f"invalid job spec {job['job_id']!r}: "
+                                f"line 1: expected expression (at ';')")
+
 
 class TestCacheKeyCrossProcess:
     def test_keys_stable_across_interpreter_runs(self, examples_dir):

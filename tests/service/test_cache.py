@@ -1,22 +1,31 @@
-"""Result cache: content addressing, hits, misses, persistence,
-and the operational maintenance surface (`repro cache stats/prune`)."""
+"""Result cache: content addressing, hits, misses, persistence, the
+one compile per source, and the operational maintenance surface
+(`repro cache stats/prune`)."""
+import hashlib
 import json
 import os
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
 import repro.frontend
 import repro.service.cache as cache_module
 from repro.cli import main
+from repro.core import SESA
+from repro.frontend.codegen import CodeGen
+from repro.kernels.streams import STREAM_CASES
+from repro.passes.taint import TaintAnalysis
+from repro.repair import InsertionPoint, IRRewriter
 from repro.service import (
-    JobResult, JobSpec, JobStatus, ResultCache, Scheduler, cache_key,
-    get_result, run_swarm_batch, stream_jobs, swarm_cache_key,
-    trace_hit_rate,
+    JobResult, JobSpec, JobStatus, ResultCache, Scheduler, builtin_jobs,
+    cache_key, canonical_form, get_result, plan_shard_specs,
+    run_swarm_batch, stream_jobs, swarm_cache_key, trace_hit_rate,
 )
 from repro.service.daemon import JobStore, WorkerDaemon
+from repro.streams import check_stream
 from repro.sym import LaunchConfig
 
 CLEAN = "__global__ void k(float *a) { a[threadIdx.x] = 1.0f; }"
@@ -134,6 +143,141 @@ class TestFormMemo:
         assert all(k == keys[0] for k in keys)
         assert len(set(keys[0])) == 1   # trailing comments move nothing
         assert len(calls) == len(sources)   # each source compiled once
+
+
+def _count_method(monkeypatch, owner, name):
+    """Count calls of *owner.name*, patched on the class so every
+    import binding of it counts."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(cache_module, "_form_memo", OrderedDict())
+    return cache_module._form_memo
+
+
+def _stream_signature(report):
+    verdict = report.to_dict()
+    return json.dumps({key: verdict[key] for key in
+                       ("races", "oobs", "assertion_failures",
+                        "timed_out")}, sort_keys=True)
+
+
+def _is_fresh_compile(source):
+    """The memoised record of *source* has the digest of a fresh
+    compile's canonical form."""
+    form = hashlib.sha256(canonical_form(source).encode()).hexdigest()
+    return cache_module.shared_module(source).digest == form
+
+
+class TestCompiledRecord:
+    """Each source is compiled once per process into one read-only
+    record; cache keys, swarm plans, kernel jobs and stream checks all
+    read it."""
+
+    def test_stream_programs_compile_once_per_source(self, monkeypatch,
+                                                     empty_memo):
+        compiles = _count_method(monkeypatch, CodeGen, "compile")
+        taints = _count_method(monkeypatch, TaintAnalysis, "run")
+        sources = {case.program.source for case in STREAM_CASES}
+        for _ in range(2):
+            for case in STREAM_CASES:
+                check_stream(case.program)
+        assert len(sources) == 6
+        assert len(compiles) == 6
+        assert len(taints) == 9      # one per kernel of the six sources
+
+    def test_threads_share_one_record(self, monkeypatch, empty_memo):
+        compiles = _count_method(monkeypatch, CodeGen, "compile")
+        taints = _count_method(monkeypatch, TaintAnalysis, "run")
+        cases = [c for c in STREAM_CASES if c.name.startswith("pipeline")]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        verdicts = [None] * workers
+
+        def check(slot):
+            barrier.wait(timeout=30)
+            verdicts[slot] = [_stream_signature(check_stream(c.program))
+                              for c in cases]
+
+        threads = [threading.Thread(target=check, args=(slot,))
+                   for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert verdicts[0] is not None
+        assert all(v == verdicts[0] for v in verdicts)
+        assert len(compiles) == 1      # both programs share one source
+        assert len(taints) == 2        # produce and consume, once each
+
+    def test_swarm_plan_after_cache_key_compiles_nothing(self, monkeypatch,
+                                                         empty_memo):
+        compiles = _count_method(monkeypatch, CodeGen, "compile")
+        spec = _spec(RACY, job_id="plan")
+        cache_key(spec)
+        assert len(compiles) == 1
+        shard_specs, _selectors, _info = plan_shard_specs(spec, 2)
+        assert shard_specs
+        assert len(compiles) == 1
+
+    def test_records_match_a_fresh_compile_after_use(self, empty_memo):
+        sources = {case.program.source for case in STREAM_CASES}
+        for case in STREAM_CASES:
+            check_stream(case.program)
+        swarm = _spec(RACY, job_id="swarm")
+        swarm_cache_key(swarm, 2)
+        plan_shard_specs(swarm, 2)
+        jobs = builtin_jobs()[:4]
+        batch = Scheduler(max_workers=2, isolate=False).run(jobs)
+        assert all(job.status == JobStatus.DONE for job in batch.jobs)
+        sources |= {RACY} | {job.source for job in jobs}
+        assert len(empty_memo) == len(sources)
+        assert all(_is_fresh_compile(source) for source in sources)
+
+    def test_rewriting_a_fresh_tool_leaves_the_record_alone(self,
+                                                            empty_memo):
+        case = next(c for c in STREAM_CASES
+                    if c.name == "pingpong_missing_sync")
+        source = case.program.source
+        key = cache_key(_spec(source))
+        verdict = _stream_signature(check_stream(case.program))
+        kernel = SESA.from_source(source).kernel
+        entry = kernel.entry
+        IRRewriter(kernel).insert_sync(InsertionPoint(
+            block=entry, anchor=entry.terminator, source_line=1))
+        assert cache_key(_spec(source)) == key
+        assert _stream_signature(check_stream(case.program)) == verdict
+        assert _is_fresh_compile(source)
+
+    def test_uncompilable_source_memoises_its_failure(self, monkeypatch,
+                                                      empty_memo):
+        calls = _count_compiles(monkeypatch)
+        bad = "__global__ void k( this does not parse"
+        errors = []
+        for _ in range(2):
+            with pytest.raises(repro.frontend.ParseError) as info:
+                cache_module.shared_module(bad)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("line 1:")
+        assert cache_key(_spec(bad)) == cache_key(_spec(bad))
+        assert len(calls) == 1
 
 
 class TestCacheStore:

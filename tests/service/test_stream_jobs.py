@@ -107,6 +107,16 @@ class TestExecuteJob:
         assert payload.get("validation_error") is True
         assert "ghost" in payload["error"]
 
+    def test_uncompilable_source_is_validation_error(self):
+        spec = JobSpec(job_id="bad-stream", kind="stream",
+                       source="__global__ void produce(int *a) { a[0] = ; }",
+                       stream_program=dict(PROGRAM))
+        payload = execute_job(spec.to_dict())
+        assert payload["status"] == JobStatus.ERROR
+        assert payload.get("validation_error") is True
+        assert payload["error"] == ("invalid job spec 'bad-stream': line 1: "
+                                    "expected expression (at ';')")
+
     def test_solver_cache_dir_enables_launch_replay(self, tmp_path):
         d = _spec(config=LaunchConfig(
             solver_cache_dir=str(tmp_path / "c"))).to_dict()
