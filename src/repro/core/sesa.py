@@ -70,8 +70,7 @@ class SESA(Engine):
             self._taint = analyze_taint(self.kernel)
         return self._taint
 
-    def inferred_symbolic_inputs(self,
-                                 exclude_loop_bounds: bool = True) -> Set[str]:
+    def inferred_symbolic_inputs(self) -> Set[str]:
         """Inputs SESA decides to symbolise.
 
         Policy (matching the paper's Table I/III/IV counts): pointer
@@ -80,15 +79,11 @@ class SESA(Engine):
         in address arithmetic (they are launch-configuration-like, and
         the verdict records the address flow as an advisory); inputs that
         only bound loops are concretised so the concolic search
-        terminates (§III-C).
+        terminates (§III-C), which this rule already does: a loop bound
+        that does not flow into an address is never kept.
         """
-        out = {name for name, v in self.taint.verdicts.items()
-               if v.is_pointer and v.flows_into_address}
-        if exclude_loop_bounds:
-            out -= {name for name in self.taint.loop_bound_inputs
-                    if name in out
-                    and not self.taint.verdicts[name].flows_into_address}
-        return out
+        return {name for name, v in self.taint.verdicts.items()
+                if v.is_pointer and v.flows_into_address}
 
     # ------------------------------------------------------------------
 

@@ -13,11 +13,21 @@ as the discharge step that runs before the solver; candidate-pair
 enumeration, pair memo, affine fast path and report emission are the
 checker's.
 
+A guard that reads an input or havoc value (an uninterpreted
+application) over a pure offset is enumerated through its *projection*:
+the guard's top-level conjuncts without an uninterpreted application,
+the others taken as true. The projection relaxes the query, so when no
+valid thread pair collides under it (no guard-true row overruns, for
+OOB) the real query is UNSAT too — the bitonic kernels' guards compare
+input values, their offsets do not read them. A collision under the
+projection proves nothing: that pair goes to the solver.
+
 A pair outside the decidable fragment — a free non-thread variable
-(symbolic scalar input), an uninterpreted application, or a domain too
-large to enumerate under the caps — raises :class:`StaticUnknown`, and
-that one pair goes to the solver. The caps keep enumeration cheap: a
-pair that would need a big enumeration is solved instead.
+(symbolic scalar input), an uninterpreted application in an offset or
+in a guard whose projection collides, or a domain too large to
+enumerate under the caps — raises :class:`StaticUnknown`, and that one
+pair goes to the solver. The caps keep enumeration cheap: a pair that
+would need a big enumeration is solved instead.
 """
 from __future__ import annotations
 
@@ -31,7 +41,7 @@ from ..smt.sorts import BVSort
 from ..smt.subst import _eval_node
 from ..smt.terms import Op, Term, free_vars
 from ..sym.access import Access
-from ..sym.memory import contains_havoc
+from ..sym.memory import contains_havoc, contains_uf
 from ..sym.races import RaceChecker
 
 #: per-side enumeration domain cap (product of variable extents)
@@ -193,6 +203,11 @@ class StaticAdjudicator:
         #: term ids -> the reason their evaluation left the fragment
         #: (an uninterpreted application fails under every box)
         self._failed: Dict[tuple, str] = {}
+        #: guard id -> its projection's conjuncts (None: no
+        #: uninterpreted application, the guard is evaluated whole)
+        self._projections: Dict[int, Optional[List[Term]]] = {}
+        #: (guard id, box names) -> the projection's guard column
+        self._projected_guards: Dict[tuple, list] = {}
 
     # -- discharge hooks -----------------------------------------------
 
@@ -277,10 +292,12 @@ class StaticAdjudicator:
             n for n in fv1 if n in rc._summary_bounds))
         names2 = occurring + tuple(sorted(
             n for n in fv2 if n in rc._summary_bounds))
-        tuples1, d1, vals1 = self._eval_terms(roots1, names1)
-        tuples2, d2, vals2 = self._eval_terms(roots2, names2)
+        tuples1, d1, vals1, proj1 = self._eval_side(a1, roots1, names1)
+        tuples2, d2, vals2, proj2 = self._eval_side(a2, roots2, names2)
         cond1, off1 = vals1[0], vals1[1]
         cond2, off2 = vals2[0], vals2[1]
+        projected = [(r, n) for r, n, p in ((roots1, names1, proj1),
+                                            (roots2, names2, proj2)) if p]
 
         if obj.space == ir.MemSpace.SHARED:
             mode = "S"
@@ -311,10 +328,10 @@ class StaticAdjudicator:
             # match it only when neither footprint wraps
             m = (1 << 32) - a1.size
             if any(off1[i] > m for i in range(d1) if cond1[i]):
-                raise StaticUnknown("wrapping byte footprint")
+                raise self._unknown("wrapping byte footprint", projected)
             m = (1 << 32) - a2.size
             if any(off2[j] > m for j in range(d2) if cond2[j]):
-                raise StaticUnknown("wrapping byte footprint")
+                raise self._unknown("wrapping byte footprint", projected)
 
         b1 = self._buckets(a1, names1, cond1, off1, same_size, d1)
         b2 = self._buckets(a2, names2, cond2, off2, same_size, d2)
@@ -330,7 +347,7 @@ class StaticAdjudicator:
                 for j in idxs2:
                     work += 1
                     if work > SCAN_CAP:
-                        raise StaticUnknown("pair scan cap")
+                        raise self._unknown("pair scan cap", projected)
                     if valid(t1, tuples2[j]):
                         hit = (i, j)
                         break
@@ -340,6 +357,8 @@ class StaticAdjudicator:
                 break
         if hit is None:
             return None
+        if projected:
+            raise self._unknown("projection collides", projected)
 
         benign = False
         if needs_values:
@@ -419,13 +438,17 @@ class StaticAdjudicator:
         names = tuple(sorted(
             n for n in self._extents if n in fv)) + tuple(sorted(
                 n for n in fv if n in rc._summary_bounds))
-        tuples, d, (cond, off) = self._eval_terms(
-            [access.cond, access.offset], names)
+        roots = [access.cond, access.offset]
+        tuples, d, (cond, off), projected = self._eval_side(
+            access, roots, names)
         # negative when the access is wider than the object: then every
         # guard-true row overruns it
         limit = access.obj.size_bytes - access.size
         for i in range(d):
             if cond[i] and off[i] > limit:
+                if projected:
+                    raise self._unknown("projection overruns",
+                                        [(roots, names)])
                 return Model({f"{n}!1": v
                               for n, v in zip(names, tuples[i])})
         return None
@@ -483,6 +506,57 @@ class StaticAdjudicator:
         cached = (tuples, d)
         self._box_cache[names] = cached
         return cached
+
+    def _projection(self, cond: Term) -> Optional[List[Term]]:
+        """The top-level conjuncts of *cond* without an uninterpreted
+        application (the rest count as true), or ``None`` when *cond*
+        has none and is evaluated whole."""
+        key = id(cond)
+        if key in self._projections:
+            return self._projections[key]
+        out = None
+        if contains_uf(cond):
+            out = []
+            stack = [cond]
+            while stack:
+                t = stack.pop()
+                if t.op == Op.BAND:
+                    stack.extend(reversed(t.args))
+                elif not contains_uf(t):
+                    out.append(t)
+        self._projections[key] = out
+        return out
+
+    def _eval_side(self, a: Access, roots: List[Term], names: tuple
+                   ) -> Tuple[list, int, List[list], bool]:
+        """:meth:`_eval_terms` of one side's *roots* (guard, offset,
+        maybe value), or — when only the guard reads an uninterpreted
+        application — the guard projection's column and the offset's.
+        The flag says which: a projected side decides only UNSAT."""
+        conjuncts = self._projection(a.cond)
+        if conjuncts is None or contains_uf(a.offset):
+            return (*self._eval_terms(roots, names), False)
+        tuples, d, cols = self._eval_terms(conjuncts + [a.offset], names)
+        key = (id(a.cond), names)
+        guard = self._projected_guards.get(key)
+        if guard is None:
+            guard = [all(row) for row in zip(*cols[:-1])] \
+                if conjuncts else [True] * d
+            self._projected_guards[key] = guard
+        return tuples, d, [guard, cols[-1]], True
+
+    def _unknown(self, reason: str, projected: List[tuple]
+                 ) -> StaticUnknown:
+        """Why a pair or access goes to the solver. A projection only
+        proves UNSAT; past it, the first projected side's exact terms
+        — ``(roots, names)`` in *projected* — leave the fragment, and
+        their reason is the one the pair falls back with."""
+        for roots, names in projected:
+            try:
+                self._eval_terms(roots, names)
+            except StaticUnknown as exc:
+                return exc
+        return StaticUnknown(reason)
 
     def _eval_terms(self, terms: List[Term], names: tuple
                     ) -> Tuple[list, int, List[list]]:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import ir
 from ..smt import TRUE, Term, mk_bv, mk_ite
-from ..smt.terms import mk_uf
+from ..smt.terms import Op, mk_uf
 
 _havoc_counter = itertools.count()
 
@@ -42,14 +42,57 @@ def make_havoc(width: int, why: str) -> Term:
 
 def is_havoc_term(term: Term) -> bool:
     """Is this term a tagged havoc symbol?"""
-    from ..smt.terms import Op
     return term.op == Op.UF and str(term.payload).startswith(HAVOC_TAG + ":")
+
+
+#: :func:`term_facts` bits: an uninterpreted application occurs in the
+#: DAG / a havoc symbol (a tagged uninterpreted application) occurs
+HAS_UF = 1
+HAS_HAVOC = 2
+
+#: interned term -> its fact bits. Interned terms live as long as the
+#: intern table, so the memo adds no lifetime, and the bits are a pure
+#: function of the term, so every caller may share them; each node is
+#: walked once per process, however many accesses, pairs and reports
+#: share it.
+_FACTS: Dict[Term, int] = {}
+
+
+def term_facts(term: Term) -> int:
+    """The :data:`HAS_UF` / :data:`HAS_HAVOC` bits of *term*, memoised
+    per node: a node's bits are its own or'ed with its arguments'."""
+    facts = _FACTS.get(term)
+    if facts is not None:
+        return facts
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if node in _FACTS:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if a not in _FACTS]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        facts = 0
+        if node.op == Op.UF:
+            facts = HAS_UF | (HAS_HAVOC if is_havoc_term(node) else 0)
+        for arg in node.args:
+            facts |= _FACTS[arg]
+        _FACTS[node] = facts
+    return _FACTS[term]
 
 
 def contains_havoc(term: Term) -> bool:
     """Does any havoc symbol occur in the term DAG?"""
-    from ..smt import iter_dag
-    return any(is_havoc_term(t) for t in iter_dag([term]))
+    return bool(term_facts(term) & HAS_HAVOC)
+
+
+def contains_uf(term: Term) -> bool:
+    """Does any uninterpreted application (input read, havoc) occur in
+    the term DAG?"""
+    return bool(term_facts(term) & HAS_UF)
 
 
 @dataclass

@@ -126,8 +126,8 @@ def test_pair_outside_fragment_falls_back_alone():
 
 @pytest.mark.parametrize("name", ["bitonic_fig1", "matrixMul"])
 def test_one_execution_per_check(monkeypatch, name):
-    """bitonic_fig1 falls back at a pair, matrixMul's record splits;
-    either way the kernel is executed once."""
+    """bitonic_fig1 is decided by enumeration, matrixMul's record
+    splits; either way the kernel is executed once."""
     runs = []
     original = Executor.run
 
@@ -160,9 +160,23 @@ def test_phases_are_disjoint(name):
     assert total == pytest.approx(sum(phases), abs=1e-5)
 
 
+#: every store's offset reads the input array (an uninterpreted
+#: application), so each pair leaves the fragment
+INPUT_OFFSETS = """
+__shared__ int s[16];
+__global__ void k(int *in, int *out) {
+  s[in[threadIdx.x] & 15] = 1;
+  s[in[threadIdx.x + 1] & 15] = 2;
+  s[in[threadIdx.x + 2] & 15] = 3;
+  __syncthreads();
+  out[threadIdx.x] = s[in[threadIdx.x] & 15];
+}
+"""
+
+
 def test_failed_terms_are_not_evaluated_again(monkeypatch):
-    """bitonic_fig1's pairs all leave the fragment (they read the input
-    array, an uninterpreted application). A term set whose evaluation
+    """Pairs whose offsets read the input array (an uninterpreted
+    application) all leave the fragment. A term set whose evaluation
     failed once fails every later pair from the adjudicator's cache,
     without being evaluated again."""
     from repro.static import checker as static_checker
@@ -178,9 +192,8 @@ def test_failed_terms_are_not_evaluated_again(monkeypatch):
             raise
 
     monkeypatch.setattr(static_checker, "_veval", recording_veval)
-    kernel = ALL_KERNELS_BY_NAME["bitonic_fig1"]
-    report = SESA.from_source(kernel.source, kernel.kernel_name).check(
-        kernel.launch_config())
+    report = SESA.from_source(INPUT_OFFSETS).check(
+        LaunchConfig(block_dim=8))
     cs = report.check_stats
     assert cs.static_bail_reason.startswith("uninterpreted")
     assert cs.static_pairs_discharged == 0

@@ -5,7 +5,7 @@ from repro import ir
 from repro.smt import TRUE, mk_bv, mk_bv_var, evaluate
 from repro.sym.memory import (
     LocalMemory, MemoryObject, ObjectLog, WriteRecord, contains_havoc,
-    is_havoc_term, make_havoc,
+    contains_uf, is_havoc_term, make_havoc,
 )
 
 
@@ -113,6 +113,20 @@ class TestHavocTags:
     def test_plain_terms_have_no_havoc(self):
         t = mk_bv_var("x") + mk_bv(3, 32)
         assert not contains_havoc(t)
+
+    def test_input_reads_are_uninterpreted_not_havoc(self):
+        x = mk_bv_var("x")
+        read = obj(symbolic=True).input_value_at(x, 32) + x
+        assert contains_uf(read) and not contains_havoc(read)
+        assert not contains_uf(x * mk_bv(3, 32))
+        assert contains_uf(make_havoc(32, "test"))
+
+    def test_deep_dag_is_walked_without_recursion(self):
+        # the per-node memo fills bottom-up from an explicit stack
+        t = make_havoc(32, "deep")
+        for i in range(3000):
+            t = t * mk_bv_var(f"v{i}")
+        assert contains_havoc(t) and contains_uf(t)
 
 
 class TestLocalMemory:
