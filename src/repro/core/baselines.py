@@ -67,13 +67,17 @@ class GKLEE(Engine):
     the property-based soundness suite exercises exactly that.
     """
 
+    def default_symbolic_inputs(self) -> Set[str]:
+        """Every data input is symbolic, as under :class:`GKLEEp`."""
+        return {arg.name for arg in self.kernel.args}
+
     def check(self, config: Optional[LaunchConfig] = None,
               solver_budget: Optional[int] = 100_000,
               max_reports: int = 4) -> AnalysisReport:
         config = config or LaunchConfig()
         start = time.perf_counter()
         if config.symbolic_inputs is None:
-            config.symbolic_inputs = {arg.name for arg in self.kernel.args}
+            config.symbolic_inputs = self.default_symbolic_inputs()
         config.flow_combining = False
         executor = Executor(self.module, self.kernel, config,
                             mode="gkleep", sink_value_ids=None)

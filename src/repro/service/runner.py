@@ -92,11 +92,9 @@ def _execute_kernel_job(spec: JobSpec) -> JobResult:
     if hasattr(tool, "inferred_symbolic_inputs"):      # SESA
         inputs = {"symbolic": len(tool.inferred_symbolic_inputs()),
                   "total": len(tool.taint.verdicts)}
-    elif hasattr(tool, "default_symbolic_inputs"):     # GKLEE(p)
+    else:                                              # GKLEE(p)
         n = len(tool.default_symbolic_inputs())
         inputs = {"symbolic": n, "total": n}
-    else:
-        inputs = None
     repair = None
     if spec.repair and spec.engine == "sesa" and report.has_races:
         from ..repair import repair_source

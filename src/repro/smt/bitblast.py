@@ -236,6 +236,22 @@ class BitBlaster:
         #: positive assertions but not under negation.
         self._pos_map: Dict[int, int] = {}
 
+    #: every map a lowering fills: variable bits and the node caches
+    _MAPS = ("var_bits", "bool_vars", "_bv_map", "_bool_map", "_pos_map")
+
+    def copy_maps(self) -> Tuple[dict, ...]:
+        """Copies of this blaster's maps, for :meth:`load_maps` on a
+        blaster over a copy of the same CNF. The bit lists are shared:
+        a lowering never changes one after storing it. The node caches
+        are keyed by ``id(term)``, so whoever keeps the copies must also
+        keep the lowered terms alive."""
+        return tuple(dict(getattr(self, name)) for name in self._MAPS)
+
+    def load_maps(self, maps: Tuple[dict, ...]) -> None:
+        """Take over maps from :meth:`copy_maps` (a fresh blaster)."""
+        for name, copied in zip(self._MAPS, maps):
+            getattr(self, name).update(copied)
+
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """CNF formula container with Tseitin helpers.
 
 Literals are non-zero ints: ``+v`` / ``-v`` for variable ``v >= 1``
-(DIMACS convention). The bitblaster emits into a :class:`CNF`, which the
-SAT solver consumes.
+(DIMACS convention). The bitblaster emits into a :class:`CNF`. A
+standalone formula keeps its clauses for the SAT solver to consume; an
+*attached* one sends each clause straight to a live solver and keeps
+none (the incremental session's goal clauses).
 
 The Tseitin gates fold inputs that are the constant true/false literal,
 so constant-heavy circuits (multiply/add by a literal constant — the
@@ -11,35 +13,28 @@ of a full word-width netlist.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 class CNF:
     """A growable CNF formula plus fresh-variable allocation.
 
-    A live :class:`~repro.smt.sat.SatSolver` can be *attached*: every
-    clause added afterwards is forwarded to it, which is how the
-    incremental session keeps blasting new terms into an instance that
-    has already answered queries.
+    Clauses collect in :attr:`clauses` until a live
+    :class:`~repro.smt.sat.SatSolver` is *attached*; from then on every
+    added clause goes to that solver instead. This is how the
+    incremental session keeps blasting goal terms into an instance that
+    has already answered queries: goal clauses live in the instance
+    only, and die with it at rotation.
     """
 
     def __init__(self) -> None:
         self.num_vars: int = 0
         self.clauses: List[List[int]] = []
-        self._listeners: List = []
-        #: when False, ``add`` stops recording clauses in :attr:`clauses`
-        #: and only forwards them to attached solvers. The session flips
-        #: this off once the preamble snapshot is taken — goal clauses
-        #: are transient (they die with the solver at rotation), so
-        #: recording them would only burn memory.
-        self.record: bool = True
+        self._solver = None
 
     def attach(self, solver) -> None:
-        """Forward every future clause to *solver* (incremental mode)."""
-        self._listeners.append(solver)
-
-    def detach(self, solver) -> None:
-        self._listeners.remove(solver)
+        """Send every future clause to *solver* (incremental mode)."""
+        self._solver = solver
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -58,20 +53,16 @@ class CNF:
                 raise ValueError("literal 0 is not allowed")
             if v > self.num_vars:
                 self.num_vars = v
-        if self.record:
+        if self._solver is None:
             self.clauses.append(lits)
-        for solver in self._listeners:
-            solver.add_clause(lits)
-
-    def add_all(self, clauses: Iterable[Sequence[int]]) -> None:
-        for c in clauses:
-            self.add(c)
+        else:
+            self._solver.add_clause(lits)
 
     def add_batch(self, clauses: Sequence[Sequence[int]]) -> None:
-        """Append many clauses, forwarding them in ONE solver call.
+        """Append many clauses, sending them in ONE solver call.
 
-        The template instantiator and the learned-clause re-import go
-        through here: attached solvers receive the whole batch via
+        The template instantiator and the positive-polarity lowerings go
+        through here: an attached solver receives the whole batch via
         ``add_clauses`` (a single backtrack-to-root) instead of one
         ``add_clause`` call per clause.
         """
@@ -82,10 +73,10 @@ class CNF:
                 if v > num_vars:
                     num_vars = v
         self.num_vars = num_vars
-        if self.record:
+        if self._solver is None:
             self.clauses.extend(list(c) for c in clauses)
-        for solver in self._listeners:
-            solver.add_clauses(clauses)
+        else:
+            self._solver.add_clauses(clauses)
 
     # -- Tseitin gates --------------------------------------------------
     # Each returns the output literal.

@@ -9,6 +9,13 @@ disjoint strided ranges.
 The domain is the classic unsigned interval lattice per width; operations
 that may wrap return ⊤ rather than a wrapped interval, which keeps the
 analysis sound (never claims UNSAT for a satisfiable query).
+
+One relational rule sits on top: a comparison of two offsets of one
+base term, ``(b + c1) P (b + c2)`` for an unsigned or signed order or
+``==``, is decided by comparing ``c1`` and ``c2`` whenever the base's
+interval proves that neither side wraps (:func:`same_base`). Loop exit
+tests have this shape (matrixMul's ``(bid.y*1024)+48 <=s
+(bid.y*1024)+63``), and the plain interval domain cannot see it.
 """
 from __future__ import annotations
 
@@ -128,6 +135,8 @@ def _binop_interval(op: str, a: Interval, b: Interval, width: int) -> Interval:
 
 
 def _pred_abs(op: str, a: Interval, b: Interval) -> BoolAbs:
+    """Unsigned orders and equality over two intervals (a signed order
+    is left undecided)."""
     if op == Op.ULT:
         if a.hi < b.lo:
             return B_TRUE
@@ -147,6 +156,67 @@ def _pred_abs(op: str, a: Interval, b: Interval) -> BoolAbs:
             return B_FALSE
         return B_TOP
     return B_TOP
+
+
+_COMPARISONS = (Op.ULT, Op.ULE, Op.SLT, Op.SLE, Op.EQ)
+
+
+def _offset_of(t: Term) -> Tuple[Term, int]:
+    """``(base, c)`` with ``t == base + c``: an addition of a constant,
+    or *t* itself with ``c = 0``."""
+    if t.op == Op.ADD:
+        a, b = t.args
+        if b.is_const():
+            return a, b.value
+        if a.is_const():
+            return b, a.value
+    return t, 0
+
+
+def same_base(t: Term) -> bool:
+    """Whether *t* compares two offsets of one base term,
+    ``(b + c1) P (b + c2)`` (a bare ``b`` has offset 0), or negates
+    such a comparison."""
+    if t.op == Op.BNOT:
+        t = t.args[0]
+    if t.op not in _COMPARISONS or not isinstance(t.args[0].sort, BVSort):
+        return False
+    return _offset_of(t.args[0])[0] is _offset_of(t.args[1])[0]
+
+
+def _same_base_abs(op: str, a: Term, b: Term,
+                   base_iv: Interval) -> Optional[BoolAbs]:
+    """Decide ``(b + c1) P (b + c2)`` over the base's interval, or None.
+
+    Adding a constant is a bijection modulo ``2^w``, so ``==`` compares
+    the offsets. An order holds iff ``c1 P c2`` when neither side wraps
+    on the base's range: taking each offset signed, every
+    ``base + c`` stays inside ``[0, 2^w)`` for an unsigned order, and
+    inside ``[-2^(w-1), 2^(w-1))`` around the base's signed value for a
+    signed one. Otherwise the layer cannot tell.
+    """
+    _, ca = _offset_of(a)
+    _, cb = _offset_of(b)
+    if op == Op.EQ:
+        return B_TRUE if ca == cb else B_FALSE
+    mod = 1 << a.width
+    half = mod >> 1
+    sa = ca - mod if ca >= half else ca
+    sb = cb - mod if cb >= half else cb
+    lo, hi = base_iv.lo, base_iv.hi
+    if op in (Op.ULT, Op.ULE):
+        floor, ceil = 0, mod
+    elif hi < half:
+        floor, ceil = -half, half
+    elif lo >= half:
+        lo, hi = lo - mod, hi - mod
+        floor, ceil = -half, half
+    else:
+        return None
+    if lo + min(sa, sb) < floor or hi + max(sa, sb) >= ceil:
+        return None
+    holds = sa < sb if op in (Op.ULT, Op.SLT) else sa <= sb
+    return B_TRUE if holds else B_FALSE
 
 
 class IntervalAnalysis:
@@ -226,16 +296,22 @@ class IntervalAnalysis:
             return B_TRUE if node.payload else B_FALSE
         if op == Op.VAR:
             return B_TOP
-        if op in (Op.ULT, Op.ULE, Op.EQ):
+        if op in _COMPARISONS:
             if op == Op.EQ and node.args[0].sort is BOOL:
                 a0 = self._bool_cache[id(node.args[0])]
                 b0 = self._bool_cache[id(node.args[1])]
                 if a0 != B_TOP and b0 != B_TOP:
                     return B_TRUE if a0 == b0 else B_FALSE
                 return B_TOP
-            a = self._bv_cache[id(node.args[0])]
-            b = self._bv_cache[id(node.args[1])]
-            return _pred_abs(op, a, b)
+            a, b = node.args
+            if same_base(node):
+                base = _offset_of(a)[0]
+                decided = _same_base_abs(op, a, b,
+                                         self._bv_cache[id(base)])
+                if decided is not None:
+                    return decided
+            return _pred_abs(op, self._bv_cache[id(a)],
+                             self._bv_cache[id(b)])
         if op == Op.BNOT:
             t, f = self._bool_cache[id(node.args[0])]
             return (f, t)

@@ -24,7 +24,12 @@ they are derived by resolution from real clauses only, so they stay
 valid whatever the assumptions. This is what lets a
 :class:`~repro.smt.session.SolverSession` blast a preamble once and
 answer thousands of per-pair or per-branch queries against the same
-instance.
+instance. A root-level instance can also be *frozen*
+(:meth:`SatSolver.freeze`: a compact copy of its arena, problem-clause
+crefs and root trail) and *thawed* into any number of live copies
+(:meth:`SatSolver.thaw`), which rebuild the watch lists in one pass
+instead of inserting every clause again; this is how a session's
+preamble is blasted once per process.
 
 The solver accepts a conflict budget so callers can bound worst-case
 work and receive ``"unknown"`` instead of hanging. The budget is
@@ -42,7 +47,7 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .cnf import CNF
 
@@ -52,6 +57,19 @@ class SatResult:
     SAT = "sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
+
+
+class FrozenRoot(NamedTuple):
+    """A root-level SAT instance frozen by :meth:`SatSolver.freeze`:
+    the variable count, the clause arena (encoded literals), the crefs
+    of its problem clauses, the root trail and the ``ok`` flag. Nothing
+    writes to it; :meth:`SatSolver.thaw` copies it."""
+
+    nvars: int
+    arena: array
+    crefs: array
+    trail: array
+    ok: bool
 
 
 def _luby(i: int) -> int:
@@ -66,10 +84,11 @@ def _luby(i: int) -> int:
 class SatSolver:
     """Solve a growable CNF instance.
 
-    Build from a :class:`CNF`, call :meth:`solve` (optionally under
-    assumptions), read :attr:`model`. Between calls, append clauses
-    with :meth:`add_clause` / :meth:`add_clauses`; ``cnf.attach(solver)``
-    forwards later ``cnf.add`` calls automatically.
+    Build from a :class:`CNF` (or :meth:`thaw` a frozen instance), call
+    :meth:`solve` (optionally under assumptions), read :attr:`model`.
+    Between calls, append clauses with :meth:`add_clause` /
+    :meth:`add_clauses`; after ``cnf.attach(solver)`` every later
+    ``cnf.add`` goes to the solver instead of the formula.
 
     :attr:`clauses` and :attr:`learnts` hold arena indices (crefs), not
     literal lists — use :meth:`clause_lits` to decode one.
@@ -119,6 +138,49 @@ class SatSolver:
                 break
 
     # ------------------------------------------------------------------
+    # frozen root instances
+    # ------------------------------------------------------------------
+
+    def freeze(self) -> "FrozenRoot":
+        """A compact read-only copy of this instance, for :meth:`thaw`.
+
+        Take it before the first :meth:`solve`: it keeps the problem
+        clauses and the root trail, and nothing a search leaves behind.
+        """
+        return FrozenRoot(self.nvars, array("i", self.arena),
+                          array("i", self.clauses), array("i", self.trail),
+                          self.ok)
+
+    @classmethod
+    def thaw(cls, root: "FrozenRoot",
+             conflict_budget: Optional[int] = None,
+             deadline: Optional[float] = None) -> "SatSolver":
+        """A live instance equal to the one *root* was frozen from.
+
+        Copies the arena and rebuilds the watch lists and the variable
+        arrays in one pass over the clause crefs, so no clause is
+        inserted again. *root* is left untouched.
+        """
+        sat = cls(CNF(), conflict_budget, deadline)
+        sat.ensure_vars(root.nvars)
+        arena = sat.arena = array("i", root.arena)
+        watches = sat.watches
+        for cref in root.crefs:
+            l0 = arena[cref + 1]
+            l1 = arena[cref + 2]
+            watches[l0] += (cref, l1)
+            watches[l1] += (cref, l0)
+        sat.clauses = list(root.crefs)
+        lit_val, levels = sat.lit_val, sat.levels
+        for el in root.trail:
+            lit_val[el] = 1
+            lit_val[el ^ 1] = -1
+            levels[el >> 1] = 0
+        sat.trail = list(root.trail)
+        sat.ok = root.ok
+        return sat
+
+    # ------------------------------------------------------------------
     # clause management
     # ------------------------------------------------------------------
 
@@ -131,12 +193,14 @@ class SatSolver:
         self.levels.extend([-1] * grow)
         self.reasons.extend([-1] * grow)
         self.activity.extend([0.0] * grow)
-        heap = self._heap
+        watches, saved_lit, heap = self.watches, self.saved_lit, self._heap
         for var in range(self.nvars + 1, n + 1):
-            self.watches.append([])
-            self.watches.append([])
-            self.saved_lit.append((var << 1) | 1)  # default polarity: false
-            heapq.heappush(heap, (0.0, var))
+            watches.append([])
+            watches.append([])
+            saved_lit.append((var << 1) | 1)  # default polarity: false
+            # (0.0, var) above every existing var is the heap's largest
+            # key: appending it is what heappush would do
+            heap.append((0.0, var))
         self.nvars = n
 
     def add_clause(self, lits: Sequence[int]) -> None:

@@ -13,15 +13,18 @@ production concolic engines put in front of their SAT core:
    nothing left to check is SAT with an empty model.
 3. **Interval pre-filter**: per-variable bounds from the preamble and
    the goal; a conjunct false under them is UNSAT without bit-blasting
-   — many race queries (disjoint strides) die here.
+   — many race queries (disjoint strides) die here. A comparison of two
+   offsets of one base term (a loop test such as ``(b + 48) <=s
+   (b + 63)``) that the base's interval proves true is dropped; a goal
+   emptied that way over a preamble of bound facts is SAT.
 4. **Range chains**: a conjunction of range tests over one shared base
    term (grid-stride loop exits, out-of-bounds tests) is decided by
    intersecting intervals on the base (:mod:`repro.smt.ranges`). It
    works from the interval layer's analysis, so it runs only with it.
 5. **SAT**: the preamble's :class:`~repro.smt.session.SolverSession`,
-   a live incremental instance that blasts the preamble once and
-   answers each goal under assumption literals, with an optional
-   conflict budget.
+   a live incremental instance that starts from the preamble's frozen,
+   process-wide blasted instance and answers each goal under assumption
+   literals, with an optional conflict budget.
 
 Models are validated against the concrete evaluator before being
 returned, so a solver bug surfaces as a loud exception instead of a
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bitblast import TemplateCache
-from .interval import Interval, IntervalAnalysis, derive_bounds
+from .interval import Interval, IntervalAnalysis, derive_bounds, same_base
 from .ranges import decide_chain, parse_chain
 from .sat import SatResult
 from .session import SolverSession
@@ -82,8 +85,7 @@ class SolverStats:
     ``by_range`` counts queries decided on the word level as range
     chains; ``by_session`` counts queries answered by assumption on the
     live incremental SAT instance. ``sat_instances`` is the number of
-    SAT solver constructions — the work the blast-once preamble
-    amortises.
+    live SAT instances, blasted or thawed from a frozen preamble.
     """
 
     queries: int = 0
@@ -162,17 +164,28 @@ class QueryMemo:
 _SHARED_TEMPLATES = TemplateCache()
 
 
+def _drop_same_base(goal: List[Term], analysis: IntervalAnalysis
+                    ) -> List[Term]:
+    """The conjuncts of *goal* without the same-base comparisons the
+    analysis proves true; *goal* itself when there is none to drop."""
+    conjuncts = T.conjuncts(goal)
+    rest = [t for t in conjuncts
+            if not (same_base(t) and analysis.must_be_true(t))]
+    return rest if len(rest) < len(conjuncts) else goal
+
+
 class Solver:
     """Layered satisfiability of ``preamble AND goal`` for one fixed
     preamble; the SAT layer is :attr:`session`.
 
     The SAT layer's options: *conflict_budget* and *deadline* bound each
-    SAT query (UNKNOWN when exhausted); the live instance is rebuilt
-    from the preamble snapshot after *max_live_queries* queries (see
+    SAT query (UNKNOWN when exhausted); the live instance is thawed
+    again from the frozen preamble after *max_live_queries* queries (see
     :class:`~repro.smt.session.SolverSession`); *templates* instantiates
     repeated goal skeletons (race-pair offsets), and ``None`` turns that
-    off (the differential test references, which must not share the
-    cache with the path under test).
+    off, along with the shared table of frozen preambles (the
+    differential test references, which must not share either with the
+    path under test).
     """
 
     def __init__(self, preamble: Sequence[Term] = (), *,
@@ -227,6 +240,7 @@ class Solver:
             self._model = Model({})
             return CheckResult.SAT
 
+        rest = goal
         if self.use_interval:
             bounds = dict(self._preamble_bounds)
             for name, iv in derive_bounds(goal).items():
@@ -238,8 +252,21 @@ class Solver:
                 self.stats.by_interval += 1
                 return CheckResult.UNSAT
 
+            # same-base comparisons proven true (loop tests such as
+            # (b + 48) <=s (b + 63)) need no lowering. None of them is
+            # a bound fact, so every model of the rest satisfies them.
+            rest = _drop_same_base(goal, analysis)
+            if goal and not rest and self._preamble_chain is not None and \
+                    self._preamble_chain.base is None:
+                # a preamble of bound facts: each variable's lowest
+                # proved value satisfies all of them
+                self.stats.by_interval += 1
+                return self._accept(goal, {
+                    name: analysis.interval_of(var).lo for name, var
+                    in self._preamble_chain.fact_vars.items()})
+
             if self._preamble_chain is not None:
-                chain = parse_chain(goal, self._preamble_chain)
+                chain = parse_chain(rest, self._preamble_chain)
                 verdict = None if chain is None else \
                     decide_chain(chain, analysis)
                 if verdict is not None:
@@ -248,7 +275,7 @@ class Solver:
                     return self._accept(goal, values) if satisfiable \
                         else CheckResult.UNSAT
 
-        result, values = self.session.check(goal)
+        result, values = self.session.check(rest)
         if result == SatResult.SAT:
             return self._accept(goal, values)
         return CheckResult.UNSAT if result == SatResult.UNSAT \

@@ -790,6 +790,22 @@ def iter_dag(roots: Iterable[Term]) -> Iterator[Term]:
                     stack.append((arg, False))
 
 
+def conjuncts(terms: Iterable[Term]) -> list[Term]:
+    """The top-level conjuncts of ``AND(terms)``: ``BAND`` nests
+    flattened, in order, each distinct term once."""
+    out: list[Term] = []
+    seen: set[Term] = set()
+    stack = list(terms)[::-1]
+    while stack:
+        t = stack.pop()
+        if t.op == Op.BAND:
+            stack.extend(reversed(t.args))
+        elif t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
 def free_vars(*roots: Term) -> Dict[str, Term]:
     """All variables appearing in the given terms, by name."""
     out: Dict[str, Term] = {}

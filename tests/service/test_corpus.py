@@ -3,7 +3,15 @@ import pytest
 
 from repro.kernels import ALL_KERNELS
 from repro.service import SUITES, builtin_jobs, load_corpus
+from repro.service.jobs import JobSpec
 from repro.service.runner import execute_job
+from repro.sym import LaunchConfig
+
+ONE_INPUT = """
+__global__ void fill(int *out) {
+    out[threadIdx.x] = 0;
+}
+"""
 
 
 class TestBuiltin:
@@ -74,6 +82,18 @@ class TestRunnerOnBuiltins:
         kinds = {r["kind"] for r in payload["verdict"]["races"]}
         assert "RW" in kinds
         assert payload["inputs"]["symbolic"] == 0
+
+    @pytest.mark.parametrize("engine,symbolic", [
+        ("sesa", 0), ("gkleep", 1), ("gklee", 1)])
+    def test_every_engine_reports_its_inputs(self, engine, symbolic):
+        # a one-input kernel: SESA's taint pass proves the input never
+        # flows into an address; both comparators symbolise it
+        spec = JobSpec(job_id=f"one-input-{engine}", engine=engine,
+                       source=ONE_INPUT, kernel_name="fill",
+                       config=LaunchConfig(grid_dim=1, block_dim=2))
+        payload = execute_job(spec.to_dict())
+        assert payload["status"] == "done", payload.get("error")
+        assert payload["inputs"] == {"symbolic": symbolic, "total": 1}
 
     def test_execute_job_never_raises(self):
         payload = execute_job({"job_id": "bad", "source": "((("})

@@ -5,9 +5,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.smt import (
-    Interval, IntervalAnalysis, derive_bounds, evaluate, mk_add, mk_and,
-    mk_bv, mk_bv_var, mk_bvand, mk_eq, mk_lshr, mk_mul, mk_ne, mk_not,
-    mk_shl, mk_ult, mk_urem,
+    CheckResult, Interval, IntervalAnalysis, Solver, derive_bounds,
+    evaluate, mk_add, mk_and, mk_bv, mk_bv_var, mk_bvand, mk_eq, mk_lshr,
+    mk_mul, mk_ne, mk_not, mk_shl, mk_sle, mk_slt, mk_ule, mk_ult,
+    mk_urem,
 )
 from repro.smt.interval import B_FALSE, B_TOP, B_TRUE, byte_footprint
 
@@ -130,6 +131,113 @@ def test_bounded_var_soundness(x, bound):
     value = evaluate(t, {"x": x})
     iv = analysis.interval_of(t)
     assert iv.lo <= value <= iv.hi
+
+
+class TestSameBase:
+    """``(b + c1) P (b + c2)`` over one base term: matrixMul's loop
+    tests, e.g. ``((bid.y << 10) + 48) <=s ((bid.y << 10) + 63)``."""
+
+    @staticmethod
+    def base():
+        return mk_shl(var("bid.y"), mk_bv(10, 32))
+
+    @staticmethod
+    def analysis():
+        return IntervalAnalysis({"bid.y": Interval(0, 39, 32)})
+
+    def test_loop_tests_decided(self):
+        b = self.base()
+        plus = lambda c: mk_add(b, mk_bv(c, 32))   # noqa: E731
+        analysis = self.analysis()
+        assert analysis.bool_of(mk_sle(plus(48), plus(63))) == B_TRUE
+        assert analysis.bool_of(mk_sle(b, plus(63))) == B_TRUE
+        assert analysis.bool_of(mk_sle(plus(64), plus(63))) == B_FALSE
+        assert analysis.bool_of(mk_slt(plus(63), plus(63 + 1))) == B_TRUE
+        assert analysis.bool_of(mk_ult(plus(16), b)) == B_FALSE
+        assert analysis.bool_of(mk_eq(plus(16), plus(48))) == B_FALSE
+        assert analysis.bool_of(mk_not(mk_sle(plus(32), plus(63)))) \
+            == B_FALSE
+
+    def test_negative_offsets(self):
+        # b - 1 is b + 0xffffffff; the base is at least 1, so it does
+        # not wrap below zero
+        x = var()
+        analysis = IntervalAnalysis({"x": Interval(1, 100, 32)})
+        minus_one = mk_add(x, mk_bv(-1, 32))
+        assert analysis.bool_of(mk_ult(minus_one, x)) == B_TRUE
+        assert analysis.bool_of(mk_slt(minus_one, x)) == B_TRUE
+
+    def test_wrapping_base_is_not_decided(self):
+        x = mk_bv_var("x", 8)
+        one = mk_add(x, mk_bv(1, 8))
+        # x = 255 wraps x + 1 to 0: unsigned order unknown
+        assert IntervalAnalysis().bool_of(mk_ult(x, one)) == B_TOP
+        # x in [100, 127]: x + 10 crosses the signed maximum
+        near_max = IntervalAnalysis({"x": Interval(100, 127, 8)})
+        assert near_max.bool_of(
+            mk_slt(x, mk_add(x, mk_bv(10, 8)))) == B_TOP
+        # a base spanning both signed halves is never decided
+        both = IntervalAnalysis({"x": Interval(120, 130, 8)})
+        assert both.bool_of(mk_sle(x, mk_add(x, mk_bv(1, 8)))) == B_TOP
+
+    def test_solver_skips_the_sat_core(self):
+        b = self.base()
+        plus = lambda c: mk_add(b, mk_bv(c, 32))   # noqa: E731
+        solver = Solver([mk_ult(var("bid.y"), mk_bv(40, 32))])
+        loop = [mk_sle(plus(c), plus(63)) for c in (0, 16, 32, 48)]
+        assert solver.check([mk_and(*loop)]) == CheckResult.SAT
+        assert solver.model()["bid.y"] == 0
+        assert solver.check(
+            [mk_and(*loop[:3], mk_not(loop[3]))]) == CheckResult.UNSAT
+        assert solver.stats.sat_instances == 0
+        assert solver.stats.by_interval == 2
+
+
+_SAME_BASE_PREDS = [mk_ult, mk_ule, mk_slt, mk_sle, mk_eq]
+
+
+@st.composite
+def same_base_queries(draw):
+    """A bounded 8-bit variable, a base term over it, and a same-base
+    comparison (possibly negated)."""
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, 255))
+    x = mk_bv_var("x", 8)
+    base = draw(st.sampled_from([
+        x, mk_shl(x, mk_bv(2, 8)), mk_mul(x, mk_bv(3, 8)),
+        mk_bvand(x, mk_bv(0x3C, 8)), mk_add(x, mk_bv(100, 8))]))
+    c1 = draw(st.integers(0, 255))
+    c2 = draw(st.integers(0, 255))
+    pred = draw(st.sampled_from(_SAME_BASE_PREDS))(
+        mk_add(base, mk_bv(c1, 8)), mk_add(base, mk_bv(c2, 8)))
+    if draw(st.booleans()):
+        pred = mk_not(pred)
+    bounds = [mk_ule(mk_bv(lo, 8), x), mk_ule(x, mk_bv(hi, 8))]
+    return bounds, pred
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=same_base_queries())
+def test_same_base_rule_agrees_with_sat_core(query):
+    """Whenever the rule decides a same-base comparison, the SAT core
+    (no interval layer, no shared templates) agrees: the comparison
+    and its negation have the verdicts the rule implies."""
+    bounds, pred = query
+    analysis = IntervalAnalysis(derive_bounds(bounds))
+    verdict = analysis.bool_of(pred)
+
+    def core(goal):
+        return Solver(bounds, use_interval=False, templates=None).check(
+            [goal])
+
+    if verdict == B_TRUE:
+        assert core(mk_not(pred)) == CheckResult.UNSAT
+        assert core(pred) == CheckResult.SAT
+    elif verdict == B_FALSE:
+        assert core(pred) == CheckResult.UNSAT
+    # the layered solver answers as the SAT core does
+    for goal in (pred, mk_not(pred)):
+        assert Solver(bounds).check([goal]) == core(goal)
 
 
 class TestByteFootprint:
